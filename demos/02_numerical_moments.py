@@ -19,7 +19,7 @@ def main():
     for n in range(0, 10, 2):
         q = moment_quad(n)
         print(f"  n={n}:  {q.value:.15f}   err <= {q.err_estimate:.1e} "
-              f"({q.panels_used} panels)")
+              f"({q.panels_used} Airy nodes)")
 
     q = mean_max_quad()
     print(f"\nE M (expected maximum) = {q.value:.15f}   err <= {q.err_estimate:.1e}")

@@ -23,8 +23,8 @@ def main():
     print(f"\n  integral of f         = {mass:.12f}")
     print(f"  integral of x^2 f     = {second:.12f}")
     print(f"  moment(2) for compare = {moment(2):.12f}")
-    print(f"  f(0) two ways: grid {density_grid(np.zeros(1))[0]:.12f}, "
-          f"adaptive {density(0.0, tol=1e-10):.12f}")
+    print(f"  f(0) at tol 1e-8 and 1e-10: {density_grid(np.zeros(1))[0]:.12f}, "
+          f"{density(0.0, tol=1e-10):.12f}")
 
     print("\ncharacteristic function (real and even):")
     for t in (0.0, 0.5, 1.0, 2.0, 4.0):

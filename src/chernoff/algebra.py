@@ -190,6 +190,9 @@ def inv_ai_derivative(m: int) -> TermSum:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return TermSum([(AiryTerm(0, 0, 1), 1)])
+    # fill the cache upward, so no call nests more than one level deep
+    for lower in range(1, m):
+        inv_ai_derivative(lower)
     return term_sum_derivative(inv_ai_derivative(m - 1))
 
 
@@ -210,29 +213,44 @@ def reduce_integral(t) -> TermSum:
     return _reduce_cached(t)
 
 
-def _reduce_cached(t: AiryTerm) -> TermSum:
-    hit = _REDUCE_MEMO.get(t)
-    if hit is not None:
-        return hit
+def _reduction_step(t: AiryTerm) -> list[tuple[AiryTerm, Fraction]]:
+    """One step of the recurrence for an atom with k >= 1: the atoms it
+    reduces to, with their coefficients."""
     j, k, ell = t
-    if k == 0:
-        out = TermSum([(t, 1)])
-    elif k == 1:
+    if k == 1:
         # I(j,1,ell) = (j/(ell-1)) I(j-1,0,ell-1); zero when j = 0
-        if j == 0:
-            out = TermSum()
-        else:
-            out = _reduce_cached(AiryTerm(j - 1, 0, ell - 1)).scale(
-                Fraction(j, ell - 1))
-    else:
+        return [(AiryTerm(j - 1, 0, ell - 1), Fraction(j, ell - 1))] if j else []
+    steps = []
+    if j >= 1:
+        steps.append((AiryTerm(j - 1, k - 1, ell - 1), Fraction(j, ell - 1)))
+    steps.append((AiryTerm(j + 1, k - 2, ell - 2), Fraction(k - 1, ell - 1)))
+    return steps
+
+
+def _reduce_cached(t: AiryTerm) -> TermSum:
+    """Memoised reduction, worked off an explicit stack: an atom waits on
+    the stack, with its recurrence step, until every atom it reduces to is
+    in the memo."""
+    stack = [(t, None)]
+    while stack:
+        cur, steps = stack.pop()
+        if cur in _REDUCE_MEMO:
+            continue
+        if cur.k == 0:
+            _REDUCE_MEMO[cur] = TermSum([(cur, 1)])
+            continue
+        if steps is None:
+            steps = _reduction_step(cur)
+            missing = [(a, None) for a, _ in steps if a not in _REDUCE_MEMO]
+            if missing:
+                stack.append((cur, steps))
+                stack.extend(missing)
+                continue
         out = TermSum()
-        if j >= 1:
-            out = out + _reduce_cached(AiryTerm(j - 1, k - 1, ell - 1)).scale(
-                Fraction(j, ell - 1))
-        out = out + _reduce_cached(AiryTerm(j + 1, k - 2, ell - 2)).scale(
-            Fraction(k - 1, ell - 1))
-    _REDUCE_MEMO[t] = out
-    return out
+        for a, c in steps:
+            out = out + _REDUCE_MEMO[a].scale(c)
+        _REDUCE_MEMO[cur] = out
+    return _REDUCE_MEMO[t]
 
 
 def reduce_term_sum(s: TermSum) -> TermSum:

@@ -1,12 +1,22 @@
 """Contour-integral numerics: moments, transforms, and the density.
 
-Everything here evaluates integrals of the form (1/2 pi i) * int F(z) dz
-along the vertical line z = sigma + i y with sigma to the right of all Airy
-zeros.  The quadrature is adaptive Gauss-Kronrod (G7, K15) on y with
-worst-panel-first refinement, plus doubling of the truncation height until
-the measured tail blocks are negligible.  Error estimates combine the
-Kronrod-Gauss differences, the per-point Airy evaluation bounds, rounding
-on the magnitude sums, and the measured tail.
+Everything here evaluates integrals (1/2 pi i) * int F(z) dz along vertical
+lines z = sigma + i y right of all Airy zeros.  F is analytic in the strip
+|Re z - sigma| < sigma - a_1 and decays superexponentially in |y|, so the
+trapezoidal rule converges geometrically in 1/h (Trefethen & Weideman,
+"The exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
+
+Ai, Ai' and their error bounds are tabulated once per line at the nodes
+z = c + i k h, |k h| <= 2Y, and cached: all moments, E M, the identity
+suite and the density read one sigma = 0 table, and the cf and mgf add
+one line for the shifted factor Ai(z + t).  h starts at the strip
+half-width and is halved, reusing the coarser nodes, until the error meets
+rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at the truncation
+height and doubles until the octave Y < |y| <= 2Y bounds what lies
+beyond 2Y.  The error adds |T_h - T_2h| (T_2h from the even nodes of the
+same table), h times the pointwise Airy bounds, 20 eps * h sum |F| for
+rounding, and that tail.  `max_panels` budgets the Airy-evaluated nodes
+a result may rest on; `panels_used` counts them.
 
 The moment formula at the canonical gamma = 1/sqrt(2) (so 2 gamma^2 = 1):
 
@@ -18,13 +28,13 @@ E V_gamma^2 = E M_gamma / (3 gamma) ties the two together.
 """
 from __future__ import annotations
 
-import cmath
-import heapq
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -50,7 +60,9 @@ def _first_zero() -> float:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical-line contour Re z = sigma with adaptive-quadrature knobs."""
+    """Vertical-line contour Re z = sigma with the quadrature's knobs: the
+    starting truncation height, the relative tolerance and the budget of
+    Airy-evaluated nodes."""
 
     sigma: float = 0.0
     truncation_height: float = 12.0
@@ -78,185 +90,187 @@ def default_contour() -> ContourSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """A value, its error estimate, and the number of Airy-evaluated nodes
+    (over every line read) that the value rests on."""
+
     value: Union[float, complex]
     err_estimate: float
     panels_used: int
 
 
-# G7K15 nodes and weights on [-1, 1]; Gauss nodes sit at odd Kronrod indices
-_XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
-        0.741531185599394, 0.586087235467691, 0.405845151377397,
-        0.207784955007898, 0.0)
-_WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
-        0.140653259715525, 0.169004726639267, 0.190350578064785,
-        0.204432940075298, 0.209482141084728)
-_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
-       0.417959183673469)
+def _airy_nodes(z: np.ndarray):
+    """Ai, Ai' and the tracked absolute bound at every point of z.
 
-_PointFn = Callable[[float], tuple[complex, float]]
-
-
-def _gk_panel(f: _PointFn, a: float, b: float):
-    """One Kronrod-15 panel: (value, error, magnitude integral).
-
-    The error charges |K15 - G7| plus the integrand's own per-point bounds
-    and a rounding term on the magnitude sum.
+    Where Ai overflows it is stored as inf, with Ai' and the bound 0, so
+    every integrand (each divides by Ai) vanishes there exactly.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc, ec = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    resabs = _WGK[7] * abs(fc)
-    epts = _WGK[7] * ec
-    for i in range(7):
-        x = h * _XGK[i]
-        f1, e1 = f(c - x)
-        f2, e2 = f(c + x)
-        pair = f1 + f2
-        resk += _WGK[i] * pair
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        epts += _WGK[i] * (e1 + e2)
-        if i % 2 == 1:
-            resg += _WG[(i - 1) // 2] * pair
-    err = abs(resk - resg) * h + (epts + 20.0 * _EPS * resabs) * h
-    return resk * h, err, resabs * h
+    ai = np.empty(z.shape, complex)
+    aip = np.empty(z.shape, complex)
+    bnd = np.empty(z.shape)
+    for i, zi in enumerate(z.tolist()):
+        try:
+            ai[i], aip[i], bnd[i] = _ai_pair(zi)
+        except OverflowDomain:
+            ai[i], aip[i], bnd[i] = math.inf, 0.0, 0.0
+    return ai, aip, bnd
 
 
-def _adaptive_line(f: _PointFn, spec: ContourSpec):
-    """Integrate f over (-inf, inf), truncated adaptively.
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """Ai, Ai' and their bound at z = origin + i k h for |k| <= m."""
 
-    Starts on [-Y, Y] with Y = spec.truncation_height, refines the worst
-    panel until the error total meets rel_tol relative to the running value
-    (with a magnitude-based anchor for near-cancelling integrands), then
-    measures [Y, 2Y] and doubles Y until the tail blocks are negligible.
-    Returns (value, err, panels_used, final_Y).
+    origin: complex
+    h: float
+    m: int
+    ai: np.ndarray
+    aip: np.ndarray
+    bnd: np.ndarray
+
+    @property
+    def k(self) -> np.ndarray:
+        return np.arange(-self.m, self.m + 1)
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.origin + 1j * self.h * self.k
+
+    def reciprocal(self):
+        """1/Ai and the relative bound bnd/|Ai|, both 0 where Ai overflowed."""
+        finite = np.isfinite(self.ai)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(finite, 1.0 / self.ai, 0.0)
+            rel = np.where(finite, self.bnd / np.abs(self.ai), 0.0)
+        return inv, rel
+
+
+#: cap on the nodes held by all cached tables together (40 bytes each)
+_TABLE_NODES = 1 << 14
+_TABLES: "OrderedDict[tuple, _Table]" = OrderedDict()
+_TABLES_LOCK = threading.Lock()
+
+
+def _node_table(origin: complex, h: float, half_width: float) -> _Table:
+    """The table on |k h| <= half_width, least recently used first out.
+
+    A new table copies every node it shares with a cached table of the same
+    origin whose step differs by a power of two, and evaluates the rest.
     """
-    heap: list = []
-    seq = 0
-    vt = 0.0 + 0.0j
-    et = 0.0
-    rt = 0.0
-    used = 0
+    with _TABLES_LOCK:
+        key = (origin, h, half_width)
+        tab = _TABLES.get(key)
+        if tab is not None:
+            _TABLES.move_to_end(key)
+            return tab
+        m = math.floor(half_width / h)
+        k = np.arange(-m, m + 1)
+        ai = np.empty(k.size, complex)
+        aip = np.empty(k.size, complex)
+        bnd = np.full(k.size, np.nan)
+        for old in _TABLES.values():
+            if old.origin != origin:
+                continue
+            e = round(math.log2(h / old.h))
+            if h != math.ldexp(old.h, e):
+                continue
+            if e >= 0:
+                idx = (k << e) + old.m
+                ok = np.ones(k.size, dtype=bool)
+            else:
+                idx = (k >> -e) + old.m
+                ok = k % (1 << -e) == 0
+            ok &= (idx >= 0) & (idx <= 2 * old.m)
+            ai[ok], aip[ok], bnd[ok] = old.ai[idx[ok]], old.aip[idx[ok]], old.bnd[idx[ok]]
+        todo = np.isnan(bnd)
+        if todo.any():
+            ai[todo], aip[todo], bnd[todo] = _airy_nodes(origin + 1j * h * k[todo])
+        tab = _Table(origin, h, m, ai, aip, bnd)
+        _TABLES[key] = tab
+        held = sum(t.ai.size for t in _TABLES.values())
+        while held > _TABLE_NODES and len(_TABLES) > 1:
+            held -= _TABLES.popitem(last=False)[1].ai.size
+        return tab
 
-    def push(a: float, b: float):
-        nonlocal seq, vt, et, rt, used
-        val, err, resabs = _gk_panel(f, a, b)
-        seq += 1
-        used += 1
-        heapq.heappush(heap, (-err, seq, a, b, val, resabs))
-        vt += val
-        et += err
-        rt += resabs
 
-    y_half = spec.truncation_height
-    n0 = max(4, math.ceil(y_half))
-    for i in range(n0):
-        push(-y_half + 2.0 * y_half * i / n0, -y_half + 2.0 * y_half * (i + 1) / n0)
+def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
+    """Charge for |y| > 2Y from the octave Y < |y| <= 2Y of the magnitudes w.
 
+    When the octave's outer half holds at most half of its inner half, the
+    outer half bounds all that lies beyond 2Y for log-concave decay (the
+    half-octave integrals then shrink at least geometrically); otherwise
+    the whole octave is charged, which asks for a larger Y.
+    """
+    ay = np.abs(k) * h
+    inner = h * w[(ay > y) & (ay <= 1.5 * y)].sum()
+    outer = h * w[ay > 1.5 * y].sum()
+    return outer if outer <= 0.5 * inner else inner + outer
+
+
+def _unmet(reason: str, err, h: float, y: float, spec: ContourSpec) -> NoConvergence:
+    return NoConvergence(
+        f"{reason}: err ~ {float(np.max(err, initial=0.0)):.3e} at h = {h:.4g}, "
+        f"Y = {y:g} (budget {spec.max_panels} Airy nodes)")
+
+
+def _trapezoid(sums, lines: int, h: float, spec: ContourSpec, tol_of):
+    """The stepping rule every quadrature here shares.
+
+    sums(h, Y) returns, elementwise, T_h over the tables on |y| <= 2Y, T_2h
+    over their even nodes, h times the pointwise bounds, h sum |F| and the
+    tail charge.  Y doubles while the tail is not negligible, h halves
+    while err = |T_h - T_2h| + bounds + rounding + tail exceeds
+    tol_of(T_h, h sum |F|).  Returns (T_h, err, nodes).
+    """
+    y = spec.truncation_height
+    while h > 0.5 * y:      # so both halves of the octave hold nodes
+        h *= 0.5
+    err, seen = math.inf, (h, y)
     while True:
-        tol = spec.rel_tol * max(abs(vt), 1e-6 * rt)
-        if et > tol:
-            if used + 2 > spec.max_panels:
-                raise NoConvergence(
-                    f"tolerance {spec.rel_tol:g} not reached within "
-                    f"{spec.max_panels} panels (err ~ {et:.3e})")
-            neg_err, _, a, b, val, resabs = heapq.heappop(heap)
-            if b - a < 1e-13 * max(1.0, y_half):
-                heapq.heappush(heap, (neg_err, _, a, b, val, resabs))
-                raise NoConvergence("panel width collapsed before tolerance was met")
-            vt -= val
-            et += neg_err
-            rt -= resabs
-            mid = 0.5 * (a + b)
-            push(a, mid)
-            push(mid, b)
-            continue
-
-        # converged on [-Y, Y]; measure one octave of tail on each side
-        tail_panels = []
-        tv = 0.0 + 0.0j
-        te = 0.0
-        for lo, hi in ((y_half, 2.0 * y_half), (-2.0 * y_half, -y_half)):
-            step = (hi - lo) / 4.0
-            for i in range(4):
-                a = lo + i * step
-                b = lo + (i + 1) * step
-                val, err, resabs = _gk_panel(f, a, b)
-                tail_panels.append((a, b, val, err, resabs))
-                tv += val
-                te += err
-        used += len(tail_panels)
-
-        if abs(tv) + te <= max(0.1 * tol, 2.2e-308):
-            # fold the measured tail in; decay is superexponential, so the
-            # remainder beyond 2Y is charged at the measured tail magnitude
-            for a, b, val, err, resabs in tail_panels:
-                seq += 1
-                heapq.heappush(heap, (-err, seq, a, b, val, resabs))
-                vt += val
-                rt += resabs
-            et += te + abs(tv)
-            break
-
-        for a, b, val, err, resabs in tail_panels:
-            seq += 1
-            heapq.heappush(heap, (-err, seq, a, b, val, resabs))
-            vt += val
-            et += err
-            rt += resabs
-        y_half *= 2.0
-        if y_half > _MAX_HALF_WIDTH:
-            raise NoConvergence("tail does not decay: truncation height exceeded cap")
-        if used > spec.max_panels:
-            raise NoConvergence("panel budget exhausted while extending the tail")
-
-    ordered = sorted(heap, key=lambda p: p[2])
-    real = math.fsum(p[4].real for p in ordered)
-    imag = math.fsum(p[4].imag for p in ordered)
-    return complex(real, imag), et, used, y_half
+        reach = 2.0 * y / h
+        nodes = lines * (2 * math.floor(reach) + 1) if reach <= spec.max_panels else math.inf
+        if nodes > spec.max_panels:
+            raise _unmet("node budget exhausted", err, *seen, spec)
+        v, v2, pts, mag, tail = sums(h, y)
+        tol = tol_of(v, mag)
+        disc = np.abs(v - v2)
+        floor = pts + 20.0 * _EPS * mag
+        err = disc + floor + tail
+        seen = (h, y)
+        if np.all(err <= tol):
+            return v, err, nodes
+        if not np.all(np.isfinite(err)):
+            raise _unmet("integrand not finite", err, h, y, spec)
+        if np.any(tail > 0.1 * tol):
+            y *= 2.0
+            if y > _MAX_HALF_WIDTH:
+                raise _unmet("tail does not decay", err, h, y / 2.0, spec)
+        elif np.any((floor > tol) & (disc <= floor)):
+            raise _unmet("Airy bounds and rounding exceed the tolerance", err, h, y, spec)
+        else:
+            h *= 0.5
 
 
-def _horner(coeffs_desc: Sequence[float], z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs_desc:
-        acc = acc * z + c
-    return acc
+def _line_integral(integrand, origins: tuple, spec: ContourSpec):
+    """int F dy with F = integrand(*tables), one table per line
+    Re z = Re c through each origin c; returns (value, err, nodes)."""
+    h0 = min(c.real for c in origins) - _first_zero()
+
+    def sums(h, y):
+        f, e = integrand(*(_node_table(c, h, 2.0 * y) for c in origins))
+        k = np.arange(f.size) - f.size // 2
+        w = np.abs(f)
+        return (h * f.sum(), 2.0 * h * f[k % 2 == 0].sum(), h * e.sum(), h * w.sum(),
+                _tail(w + e, k, h, y))
+
+    return _trapezoid(sums, len(origins), h0, spec,
+                      lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
 
 
-def _poly_over_ai2(poly: RationalPoly, sigma: float) -> _PointFn:
-    coeffs = poly.float_coeffs()[::-1]
-
-    def f(y: float):
-        z = complex(sigma, y)
-        try:
-            ai, _, bnd = _ai_pair(z)
-        except OverflowDomain:
-            return 0.0 + 0.0j, 0.0
-        if ai == 0.0:
-            return 0.0 + 0.0j, math.inf
-        val = _horner(coeffs, z) / (ai * ai)
-        return val, abs(val) * 2.0 * (bnd / abs(ai))
-
-    return f
-
-
-def _product_integrand(shift: complex, sigma: float) -> _PointFn:
-    """1 / (Ai(z + shift) Ai(z)) on the line Re z = sigma."""
-
-    def f(y: float):
-        z = complex(sigma, y)
-        try:
-            a0, _, b0 = _ai_pair(z)
-            a1, _, b1 = _ai_pair(z + shift)
-        except OverflowDomain:
-            return 0.0 + 0.0j, 0.0
-        if a0 == 0.0 or a1 == 0.0:
-            return 0.0 + 0.0j, math.inf
-        val = 1.0 / (a0 * a1)
-        return val, abs(val) * (b0 / abs(a0) + b1 / abs(a1))
-
-    return f
+def _product_integrand(tab: _Table, shifted: _Table):
+    """1 / (Ai(z) Ai(z + shift)), the second factor read on its own line."""
+    inv0, rel0 = tab.reciprocal()
+    inv1, rel1 = shifted.reciprocal()
+    val = inv0 * inv1
+    return val, np.abs(val) * (rel0 + rel1)
 
 
 def contour_integral_inv_ai2(poly: RationalPoly,
@@ -269,10 +283,17 @@ def contour_integral_inv_ai2(poly: RationalPoly,
     if not isinstance(poly, RationalPoly):
         raise TypeError("poly must be a RationalPoly")
     spec = contour if contour is not None else default_contour()
-    val, err, used, _ = _adaptive_line(_poly_over_ai2(poly, spec.sigma), spec)
-    return QuadResult(value=val.real / _TWO_PI,
-                      err_estimate=(err + abs(val.imag)) / _TWO_PI,
-                      panels_used=used)
+    coeffs = poly.float_coeffs()[::-1]
+
+    def f(tab: _Table):
+        inv, rel = tab.reciprocal()
+        val = np.polyval(coeffs, tab.z) * inv * inv
+        return val, np.abs(val) * 2.0 * rel
+
+    val, err, nodes = _line_integral(f, (complex(spec.sigma),), spec)
+    return QuadResult(value=float(val.real) / _TWO_PI,
+                      err_estimate=float(err + abs(val.imag)) / _TWO_PI,
+                      panels_used=nodes)
 
 
 def _validate_gamma(gamma: float) -> float:
@@ -330,29 +351,21 @@ def moment_by_parts(j: int, k: int,
         algebra.inv_ai_derivative(j), algebra.inv_ai_derivative(k))
     terms = [(t.j, t.k, t.ell, float(c)) for t, c in prod.items()]
     sign = -1.0 if j % 2 else 1.0
-    sigma = spec.sigma
 
-    def f(y: float):
-        z = complex(sigma, y)
-        try:
-            ai, aip, bnd = _ai_pair(z)
-        except OverflowDomain:
-            return 0.0 + 0.0j, 0.0
-        if ai == 0.0:
-            return 0.0 + 0.0j, math.inf
-        val = 0.0 + 0.0j
-        aerr = 0.0
+    def f(tab: _Table):
+        inv, rel = tab.reciprocal()
+        z, aip = tab.z, tab.aip
+        rel_p = tab.bnd / np.maximum(np.abs(aip), 1e-300)
+        val = np.zeros(z.shape, complex)
+        err = np.zeros(z.shape)
         for jj, kk, ell, c in terms:
-            piece = c * z ** jj * aip ** kk / ai ** ell
+            piece = c * z ** jj * aip ** kk * inv ** ell
             val += piece
-            aval = abs(piece)
-            if aval:
-                rel = bnd * (kk / max(abs(aip), 1e-300) + ell / abs(ai))
-                aerr += aval * rel
-        return sign * val, aerr
+            err += np.abs(piece) * (kk * rel_p + ell * rel)
+        return sign * val, err
 
-    val, err, used, _ = _adaptive_line(f, spec)
-    return val.real / _TWO_PI
+    val, _, _ = _line_integral(f, (complex(spec.sigma),), spec)
+    return float(val.real) / _TWO_PI
 
 
 def mean_max_quad(gamma: float = CANONICAL_GAMMA,
@@ -383,10 +396,11 @@ def char_fn_quad(t: float, contour: Optional[ContourSpec] = None) -> QuadResult:
     if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
         raise ValueError("t must be a finite real")
     spec = contour if contour is not None else default_contour()
-    val, err, used, _ = _adaptive_line(
-        _product_integrand(complex(0.0, float(t)), spec.sigma), spec)
-    return QuadResult(value=val / _TWO_PI, err_estimate=err / _TWO_PI,
-                      panels_used=used)
+    sigma = complex(spec.sigma)
+    val, err, nodes = _line_integral(_product_integrand,
+                                     (sigma, sigma + 1j * float(t)), spec)
+    return QuadResult(value=complex(val) / _TWO_PI, err_estimate=float(err) / _TWO_PI,
+                      panels_used=nodes)
 
 
 def char_fn(t: float, contour: Optional[ContourSpec] = None) -> complex:
@@ -414,9 +428,10 @@ def mgf_quad(t: complex, sigma: Optional[float] = None,
             f"Re t = {t.real}, a_1 = {a1:.6f}")
     spec = contour if contour is not None else default_contour()
     spec = replace(spec, sigma=sigma)
-    val, err, used, _ = _adaptive_line(_product_integrand(t, sigma), spec)
-    return QuadResult(value=val / _TWO_PI, err_estimate=err / _TWO_PI,
-                      panels_used=used)
+    val, err, nodes = _line_integral(_product_integrand,
+                                     (complex(sigma), sigma + t), spec)
+    return QuadResult(value=complex(val) / _TWO_PI, err_estimate=float(err) / _TWO_PI,
+                      panels_used=nodes)
 
 
 def mgf(t: complex, sigma: Optional[float] = None,
@@ -430,83 +445,29 @@ def length_scale(gamma: float) -> float:
     return 2.0 ** (-1.0 / 3.0) * gamma ** (-2.0 / 3.0)
 
 
-def _g_point(u: float, rel_tol: float) -> tuple[float, float]:
-    """g(u) = (1/2 pi) int e^{-i t u} sqrt(2)/Ai(i t) dt, with error."""
-
-    def f(t: float):
-        try:
-            ai, _, bnd = _ai_pair(complex(0.0, t))
-        except OverflowDomain:
-            return 0.0 + 0.0j, 0.0
-        val = cmath.exp(complex(0.0, -t * u)) * (_SQRT2 / ai)
-        return val, abs(val) * (bnd / abs(ai))
-
-    spec = ContourSpec(sigma=0.0, truncation_height=14.0,
-                       rel_tol=rel_tol, max_panels=4000)
-    val, err, _, _ = _adaptive_line(f, spec)
-    return val.real / _TWO_PI, (err + abs(val.imag)) / _TWO_PI
+#: node budget of a density table: its step shrinks as max|x| grows
+_DENSITY_NODES = 1 << 14
+#: x values per block of phase products, so memory does not grow with len(xs)
+_X_BLOCK = 128
 
 
 def density(x: float, gamma: float = CANONICAL_GAMMA, tol: float = 1e-8) -> float:
-    """Density of V_gamma at x, via f(u) = g(u) g(-u) / 2 at canonical scale
-    with hat g(t) = sqrt(2)/Ai(i t), then the length-scale change to gamma."""
+    """Density of V_gamma at x within absolute error tol (see density_grid)."""
     if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
         raise ValueError("x must be a finite real")
-    gamma = _validate_gamma(gamma)
-    if not (isinstance(tol, (int, float)) and 1e-12 <= tol <= 1e-2):
-        raise ValueError("tol must lie in [1e-12, 1e-2]")
-    s = length_scale(gamma)
-    u = float(x) / s
-    rel = max(tol / 4.0, 1e-13)
-    g1, e1 = _g_point(u, rel)
-    g2, e2 = _g_point(-u, rel)
-    err = (abs(g1) * e2 + abs(g2) * e1 + e1 * e2) / (2.0 * s)
-    if err > tol:
-        g1, e1 = _g_point(u, rel / 20.0)
-        g2, e2 = _g_point(-u, rel / 20.0)
-        err = (abs(g1) * e2 + abs(g2) * e1 + e1 * e2) / (2.0 * s)
-        if err > tol:
-            raise NoConvergence(f"density error estimate {err:.3e} exceeds tol {tol:g}")
-    return 0.5 * g1 * g2 / s
-
-
-_GRID_HALF_WIDTH = 20.0
-_GRID_PANEL = 0.5
-
-
-@lru_cache(maxsize=1)
-def _grid_nodes() -> tuple:
-    """Fixed composite K15 rule on [-20, 20] and hat g at its nodes."""
-    edges = np.arange(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH + 0.5 * _GRID_PANEL,
-                      _GRID_PANEL)
-    xg = np.array(_XGK)
-    nodes_ref = np.concatenate([-xg[:-1], xg[::-1]])        # 15 ascending
-    wts_ref = np.concatenate([np.array(_WGK)[:-1], np.array(_WGK)[::-1]])
-    ts = []
-    ws = []
-    h = 0.5 * _GRID_PANEL
-    for a in edges[:-1]:
-        c = a + h
-        ts.append(c + h * nodes_ref)
-        ws.append(h * wts_ref)
-    t = np.concatenate(ts)
-    w = np.concatenate(ws)
-    gh = np.empty(t.shape, dtype=complex)
-    ebnd = 0.0
-    for i, ti in enumerate(t):
-        ai, _, bnd = _ai_pair(complex(0.0, ti))
-        gh[i] = _SQRT2 / ai
-        ebnd += w[i] * abs(gh[i]) * (bnd / abs(ai))
-    return t, w, gh, ebnd
+    return float(density_grid(np.array([float(x)]), gamma, tol)[0])
 
 
 def density_grid(xs, gamma: float = CANONICAL_GAMMA,
                  tol: float = 1e-8) -> np.ndarray:
-    """Vectorised density on a grid of points.
+    """Density of V_gamma at every x in xs, each within absolute error tol.
 
-    Shares one set of hat-g evaluations across all x on a fixed composite
-    Kronrod rule sized so the rule error sits far below `tol`; agreement
-    with the adaptive pointwise route is part of the test suite.
+    At canonical scale f(u) = g(u) g(-u) / 2 with
+    g(u) = (1/2 pi) int e^{-i t u} hat g(t) dt and hat g(t) = sqrt(2)/Ai(i t),
+    read from the sigma = 0 table; then the length-scale change to gamma.
+    A trapezoidal sum in t is 2 pi/h-periodic in u, so h starts where
+    pi/h >= 2 max|u|: the images of g that T_2h adds then sit at |u| >= max|u|.
+    Raises NoConvergence when tol cannot be met within the node budget.
     """
     gamma = _validate_gamma(gamma)
     if not (isinstance(tol, (int, float)) and 1e-12 <= tol <= 1e-2):
@@ -516,12 +477,44 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
         raise ValueError("xs must be one-dimensional")
     s = length_scale(gamma)
     u = xs / s
-    t, w, gh, _ = _grid_nodes()
-    phase = np.exp(-1j * np.outer(u, t))
-    wgh = w * gh
-    g_pos = phase @ wgh / _TWO_PI
-    g_neg = np.conj(phase) @ wgh / _TWO_PI
-    return 0.5 * (g_pos * g_neg).real / s
+    if not np.all(np.isfinite(u)):
+        raise ValueError("xs must be finite")
+    u_max = float(np.max(np.abs(u), initial=0.0))
+    h = -_first_zero()
+    while 2.0 * h * u_max > math.pi:
+        h *= 0.5
+
+    def sums(h, y):
+        tab = _node_table(0j, h, 2.0 * y)
+        inv, rel = tab.reciprocal()
+        ghat = _SQRT2 * inv
+        w = np.abs(ghat)
+        # fold nodes k and -k: the real part of sum_k ghat_k e^{-i k h u} is
+        # sum_{k >= 0} A_k cos(k h u) + B_k sin(k h u)
+        m = tab.m
+        a = ghat.real[m:] + ghat.real[m::-1]
+        a[0] = ghat.real[m]
+        b = ghat.imag[m:] - ghat.imag[m::-1]
+        even = 2.0 * (np.arange(m + 1) % 2 == 0)
+        wa = np.stack([a, even * a], axis=1) * (h / _TWO_PI)
+        wb = np.stack([b, even * b], axis=1) * (h / _TWO_PI)
+        t = h * np.arange(m + 1)
+        ca = np.empty((u.size, 2))
+        sb = np.empty((u.size, 2))
+        for i in range(0, u.size, _X_BLOCK):
+            phase = np.outer(u[i:i + _X_BLOCK], t)
+            ca[i:i + _X_BLOCK] = np.cos(phase) @ wa
+            sb[i:i + _X_BLOCK] = np.sin(phase) @ wb
+        g = np.concatenate([ca + sb, ca - sb])       # rows g(u), then g(-u)
+        return (g[:, 0], g[:, 1], h * np.sum(w * rel) / _TWO_PI, h * w.sum() / _TWO_PI,
+                _tail(w * (1.0 + rel), tab.k, h, y) / _TWO_PI)
+
+    # with |g| <= G = h sum |hat g| / 2 pi and both errors below
+    # min(1, 2 s tol / (2G + 1)), the error of g(u) g(-u) / (2 s) is below tol
+    spec = replace(default_contour(), max_panels=_DENSITY_NODES)
+    g, _, _ = _trapezoid(sums, 1, h, spec,
+                         lambda v, mag: min(1.0, 2.0 * s * tol / (2.0 * mag + 1.0)))
+    return 0.5 * g[:u.size] * g[u.size:] / s
 
 
 @dataclass(frozen=True)

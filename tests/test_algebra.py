@@ -5,12 +5,14 @@ x/sinh(x) series symbolically, and mpmath integrates single atoms along the
 imaginary axis to confirm the reduction recurrence numerically.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chernoff import algebra
 from chernoff import (
     AiryTerm,
     NotIntegrable,
@@ -324,3 +326,25 @@ def test_verify_conjectures_rejects():
         verify_conjectures(-1)
     with pytest.raises(ValueError):
         verify_conjectures(2.5)
+
+
+def test_cold_caches_do_not_recurse_by_order():
+    def depth():
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        return n
+
+    inv_ai_derivative.cache_clear()
+    moment_polynomial.cache_clear()
+    algebra._REDUCE_MEMO.clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth() + 30)
+    try:
+        d80 = inv_ai_derivative(80)
+        p40 = moment_polynomial(40)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d80 == term_sum_derivative(inv_ai_derivative(79))
+    assert p40.degree() == 20
+    assert p40.coefficient(20) == sinh_gf_coefficient(40)

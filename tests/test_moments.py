@@ -3,16 +3,26 @@
 The ORACLE_* constants below were produced by an mpmath script (dps = 30,
 tanh-sinh quadrature of the same contour integrands on z = iy, y in
 [-40, 40]) and are pasted here verbatim so the suite never depends on the
-code it is checking.
+code it is checking.  E V^10..20, cf(7.25..12) and f(3.5), f(4) are pasted
+from perfbench/references.json, which perfbench/make_references.py computes
+the same way without importing the package.
+
+At the TAIL_POINTS the pointwise Airy bounds alone exceed the default
+1e-10 * |value|, so the default contour answers NoConvergence there; they
+are checked on TAIL_CONTOUR instead.
 """
 
 import math
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chernoff import moments
 from chernoff import (
     CANONICAL_GAMMA,
     ContourSpec,
@@ -42,11 +52,37 @@ ORACLE_EV = {
     4: 0.4968045630233561973253,
     6: 0.938201001925788054969,
     8: 2.38173025749230321006,
+    10: 7.50008537073058828462573392272,
+    12: 27.9548544723584118957404974262,
+    14: 119.615512422781205114992480222,
+}
+ORACLE_EV_HIGH = {
+    16: 575.101376100618566211135226808,
+    18: 3058.10555506737711450406928945,
+    20: 17767.9504925954138565391460763,
 }
 ORACLE_EM = 0.8875070844745321882246
-ORACLE_CF = {1.0: 0.8102667681352227335417, 2.0: 0.4242816129413975656173}
+ORACLE_CF = {
+    1.0: 0.8102667681352227335417,
+    2.0: 0.4242816129413975656173,
+    7.25: 0.00000215476935373635620384843857868,
+    9.0: 0.00000000296378991499117754425847825732,
+    10.0: -0.0000000410070842368529222403654530631,
+    12.0: 0.0000000000337455777895541426164186642448,
+}
 ORACLE_MGF_HALF = 1.053611211407192435516
-ORACLE_F = {0.0: 0.6018984746044277766123, 1.0: 0.1951257693868412667605}
+ORACLE_F = {
+    0.0: 0.6018984746044277766123,
+    1.0: 0.1951257693868412667605,
+    3.5: 0.00000000173802819909439273202607864456,
+    4.0: 0.000000000000539365384724851969100272638365,
+}
+TAIL_POINTS = {("moment", 14), ("cf", 7.25), ("cf", 9.0), ("cf", 10.0), ("cf", 12.0)}
+TAIL_CONTOUR = ContourSpec(rel_tol=1e-6)
+
+
+def _contour_for(kind, point):
+    return TAIL_CONTOUR if (kind, point) in TAIL_POINTS else None
 
 
 # ---------------------------------------------------------------- moments
@@ -59,13 +95,25 @@ def test_normalization():
     assert q.panels_used >= 4
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", sorted(ORACLE_EV))
 def test_canonical_moments_frozen(n):
-    q = moment_quad(n)
+    q = moment_quad(n, contour=_contour_for("moment", n))
     diff = abs(q.value - ORACLE_EV[n])
     assert diff <= 1e-9
     # the reported error bar must actually cover the difference
-    assert diff <= 10.0 * q.err_estimate + 1e-13
+    assert diff <= q.err_estimate
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_EV_HIGH))
+def test_high_moments_honest_or_named_failure(n):
+    try:
+        q = moment_quad(n)
+    except NoConvergence as exc:
+        msg = str(exc)
+        for part in ("budget", "err ~", "h = ", "Y = "):
+            assert part in msg, msg
+    else:
+        assert abs(q.value - ORACLE_EV_HIGH[n]) <= q.err_estimate
 
 
 def test_gamma_one_second_moment():
@@ -101,6 +149,11 @@ def test_contour_invariance():
         assert abs(q.value - base.value) <= 1e-10
 
 
+def test_truncation_height_doubles_until_tail_is_negligible():
+    q = moment_quad(2, contour=ContourSpec(truncation_height=1.0))
+    assert abs(q.value - ORACLE_EV[2]) <= q.err_estimate <= 1e-10
+
+
 def test_moment_validation():
     for bad in (-1, 1.5, "2", True):
         with pytest.raises(ValueError):
@@ -131,6 +184,7 @@ def test_by_parts_splits():
 def test_mean_max_frozen():
     q = mean_max_quad()
     assert abs(q.value - ORACLE_EM) <= 1e-9
+    assert abs(q.value - ORACLE_EM) <= q.err_estimate
 
 
 @pytest.mark.parametrize("g", [CANONICAL_GAMMA, 1.0, 2.0])
@@ -154,9 +208,10 @@ def test_char_fn_at_zero():
 
 @pytest.mark.parametrize("t", sorted(ORACLE_CF))
 def test_char_fn_frozen(t):
-    v = char_fn(t)
-    assert abs(v.real - ORACLE_CF[t]) <= 1e-9
-    assert abs(v.imag) <= 1e-10
+    q = char_fn_quad(t, _contour_for("cf", t))
+    assert abs(q.value.real - ORACLE_CF[t]) <= 1e-9
+    assert abs(q.value.imag) <= 1e-10
+    assert abs(q.value - ORACLE_CF[t]) <= q.err_estimate
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -189,8 +244,10 @@ def test_mgf_at_zero():
 
 
 def test_mgf_frozen_and_series():
-    v = mgf(0.5)
+    q = mgf_quad(0.5)
+    v = q.value
     assert abs(v - ORACLE_MGF_HALF) <= 1e-9
+    assert abs(v - ORACLE_MGF_HALF) <= q.err_estimate
     # truncated moment series; V^13 tail is far below 1e-5 at t = 1/2
     ser = sum(moment(n) * 0.5**n / math.factorial(n) for n in range(13))
     assert abs(v.real - ser) <= 1e-5
@@ -246,8 +303,47 @@ def test_contour_integral_type_checks():
 
 def test_no_convergence_on_tiny_budget():
     spec = ContourSpec(rel_tol=1e-13, max_panels=8, truncation_height=24.0)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="budget 8 Airy nodes"):
         contour_integral_inv_ai2(RationalPoly({0: Fraction(1)}), spec)
+
+
+def test_sigma0_table_is_shared(monkeypatch):
+    calls = []
+    evaluate = moments._airy_nodes
+
+    def counted(z):
+        calls.append(z.size)
+        return evaluate(z)
+
+    monkeypatch.setattr(moments, "_TABLES", OrderedDict())
+    monkeypatch.setattr(moments, "_airy_nodes", counted)
+    moments._moment_integral.cache_clear()
+    moments._mean_max_integral.cache_clear()
+    moment_quad(2)
+    first = sum(calls)
+    assert first > 0
+    for n in range(13):
+        moment_quad(n)
+    mean_max_quad()
+    for x in np.linspace(-3.0, 3.0, 25):
+        density(float(x))
+    assert sum(calls) == first
+
+
+def test_node_tables_shared_between_threads(monkeypatch):
+    ts = [0.5, 1.5, 2.5, 3.5]
+    want = [char_fn(t) for t in ts]
+    # a cap below one cf's tables makes every insertion evict
+    monkeypatch.setattr(moments, "_TABLES", OrderedDict())
+    monkeypatch.setattr(moments, "_TABLE_NODES", 400)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(char_fn, ts * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 2
 
 
 def test_quad_result_fields():
@@ -262,7 +358,8 @@ def test_quad_result_fields():
 
 @pytest.mark.parametrize("x", sorted(ORACLE_F))
 def test_density_frozen(x):
-    assert abs(density(x, tol=1e-10) - ORACLE_F[x]) <= 1e-9
+    # tol bounds the density's own error
+    assert abs(density(x, tol=1e-10) - ORACLE_F[x]) <= 1e-10
 
 
 def test_density_symmetric():
@@ -285,6 +382,35 @@ def test_density_normalization_and_second_moment():
     assert abs(mass - 1.0) <= 1e-6
     second = np.trapezoid(xs * xs * f, xs)
     assert abs(second - moment(2)) <= 1e-5
+
+
+def test_density_grid_large_gamma():
+    # u = x / s reaches 163 here; a step fixed for |u| <= 20 aliases
+    xs = np.arange(-6.0, 6.0 + 1e-9, 0.005)
+    f = density_grid(xs, gamma=100.0)
+    assert abs(np.trapezoid(f, xs) - 1.0) <= 1e-6
+    assert np.all(f >= -1e-12)
+    assert f[-1] < 1e-12
+
+
+def test_density_grid_memory_does_not_grow_with_grid():
+    import tracemalloc
+
+    xs = np.linspace(-3.0, 3.0, 20001)
+    density_grid(xs[:5])  # the table itself is not what is measured
+    tracemalloc.start()
+    try:
+        density_grid(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_density_grid_out_of_budget_raises():
+    # |u| = 6 / s ~ 3500 needs a step far below the node budget's reach
+    with pytest.raises(NoConvergence, match="budget"):
+        density_grid(np.array([-6.0, 6.0]), gamma=1e4)
 
 
 def test_density_gamma_rescales():
