@@ -17,11 +17,17 @@ and the reduction recurrence for contour integrals of terms with ell > k,
 which preserves ell - k and terminates at k = 0.  Iterating the derivative
 on 1/Ai and reducing the product with a further 1/Ai factor produces the
 moment polynomials p_n with p_0 = 1, p_2 = -z/3, p_4 = 7 z^2 / 15, ...
-All arithmetic is exact (fractions.Fraction); floats never enter.
+
+All arithmetic is exact and floats never enter.  The derivatives of 1/Ai
+(integer coefficients) and the reduction sweep (_reduce_class) run on
+Python ints; Fractions appear only in the public TermSum and RationalPoly
+values.
 """
 from __future__ import annotations
 
 import math
+import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,27 +143,23 @@ class TermSum:
         return "TermSum[" + " + ".join(parts) + "]"
 
 
+def _derivative(coeffs: dict) -> dict:
+    """d/dz of sum c z^j Ai'^k / Ai^ell, given and returned as
+    {(j, k, ell): c} with int or Fraction c, via Ai'' = z Ai."""
+    out: defaultdict[tuple[int, int, int], RationalLike] = defaultdict(int)
+    for (j, k, ell), c in coeffs.items():
+        if j:
+            out[j - 1, k, ell] += j * c
+        if k:
+            out[j + 1, k - 1, ell - 1] += k * c
+        if ell:
+            out[j, k + 1, ell + 1] -= ell * c
+    return out
+
+
 def term_sum_derivative(s: TermSum) -> TermSum:
     """d/dz of a TermSum, via Ai'' = z Ai."""
-    acc: dict[AiryTerm, Fraction] = {}
-
-    def add(t: AiryTerm, c: Fraction) -> None:
-        v = acc.get(t, Fraction(0)) + c
-        if v:
-            acc[t] = v
-        else:
-            acc.pop(t, None)
-
-    for (j, k, ell), c in s.items():
-        if j >= 1:
-            add(AiryTerm(j - 1, k, ell), j * c)
-        if k >= 1:
-            add(AiryTerm(j + 1, k - 1, ell - 1), k * c)
-        if ell != 0:
-            add(AiryTerm(j, k + 1, ell + 1), -ell * c)
-    out = TermSum.__new__(TermSum)
-    out._terms = acc
-    return out
+    return TermSum(_derivative(s._terms))
 
 
 def term_sum_product(a: TermSum, b: TermSum) -> TermSum:
@@ -176,7 +178,35 @@ def term_sum_product(a: TermSum, b: TermSum) -> TermSum:
     return out
 
 
-@lru_cache(maxsize=None)
+class _DerivativeCursor:
+    """The highest derivative of 1/Ai computed so far, as {(j, k, k + 1): int}.
+
+    A request at or above the cursor steps it forward and one below starts
+    again from 1/Ai, so a single order is held at any time.  The returned
+    dict is never mutated afterwards.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._m, self._coeffs = 0, {(0, 0, 1): 1}
+
+    def get(self, m: int) -> dict:
+        with self._lock:
+            if m < self._m:
+                self._m, self._coeffs = 0, {(0, 0, 1): 1}
+            while self._m < m:
+                self._coeffs = _derivative(self._coeffs)
+                self._m += 1
+            return self._coeffs
+
+
+_DERIVATIVES = _DerivativeCursor()
+
+
 def inv_ai_derivative(m: int) -> TermSum:
     """m-th derivative of 1/Ai as a TermSum.
 
@@ -188,15 +218,37 @@ def inv_ai_derivative(m: int) -> TermSum:
         raise ValueError("m must be an integer")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return TermSum([(AiryTerm(0, 0, 1), 1)])
-    # fill the cache upward, so no call nests more than one level deep
-    for lower in range(1, m):
-        inv_ai_derivative(lower)
-    return term_sum_derivative(inv_ai_derivative(m - 1))
+    return TermSum(_DERIVATIVES.get(m))
 
 
-_REDUCE_MEMO: dict[AiryTerm, TermSum] = {}
+def _reduce_class(d: int, atoms: dict) -> dict[int, Fraction]:
+    """Reduce sum c I(j, k, k + d), given as {k: {j: c}}, to {j: coefficient
+    of (j, 0, d)}.
+
+    One downward sweep over k: level k is held as integer numerators over
+    P_k = prod_{i=k+1}^{kmax} (i + d - 1) (times the lcm of the input
+    denominators), so the recurrence's step k -> k-1 adds j b and the step
+    k -> k-2 adds (k-1)(k+d-2) b, and level 0 is divided once.
+    """
+    scale = math.lcm(*(c.denominator for row in atoms.values() for c in row.values()))
+    levels: dict[int, dict[int, int]] = {}
+    den = 1
+    for k in range(max(atoms), -1, -1):
+        level = levels.pop(k, {})
+        for j, c in atoms.get(k, {}).items():
+            level[j] = level.get(j, 0) + c.numerator * (scale // c.denominator) * den
+        if k == 0:
+            break
+        down = levels.setdefault(k - 1, {})
+        for j, b in level.items():
+            if j:
+                down[j - 1] = down.get(j - 1, 0) + j * b
+        if k >= 2:
+            down, f = levels.setdefault(k - 2, {}), (k - 1) * (k + d - 2)
+            for j, b in level.items():
+                down[j + 1] = down.get(j + 1, 0) + f * b
+        den *= k + d - 1
+    return {j: Fraction(b, den * scale) for j, b in level.items() if b}
 
 
 def reduce_integral(t) -> TermSum:
@@ -207,57 +259,18 @@ def reduce_integral(t) -> TermSum:
     The result preserves ell - k, so atoms with ell = k + 2 land on
     (j, 0, 2), the moment-polynomial normal form.
     """
-    t = _as_term(t)
-    if t.ell <= t.k:
-        raise NotIntegrable(f"reduction needs ell > k, got {t}")
-    return _reduce_cached(t)
-
-
-def _reduction_step(t: AiryTerm) -> list[tuple[AiryTerm, Fraction]]:
-    """One step of the recurrence for an atom with k >= 1: the atoms it
-    reduces to, with their coefficients."""
-    j, k, ell = t
-    if k == 1:
-        # I(j,1,ell) = (j/(ell-1)) I(j-1,0,ell-1); zero when j = 0
-        return [(AiryTerm(j - 1, 0, ell - 1), Fraction(j, ell - 1))] if j else []
-    steps = []
-    if j >= 1:
-        steps.append((AiryTerm(j - 1, k - 1, ell - 1), Fraction(j, ell - 1)))
-    steps.append((AiryTerm(j + 1, k - 2, ell - 2), Fraction(k - 1, ell - 1)))
-    return steps
-
-
-def _reduce_cached(t: AiryTerm) -> TermSum:
-    """Memoised reduction, worked off an explicit stack: an atom waits on
-    the stack, with its recurrence step, until every atom it reduces to is
-    in the memo."""
-    stack = [(t, None)]
-    while stack:
-        cur, steps = stack.pop()
-        if cur in _REDUCE_MEMO:
-            continue
-        if cur.k == 0:
-            _REDUCE_MEMO[cur] = TermSum([(cur, 1)])
-            continue
-        if steps is None:
-            steps = _reduction_step(cur)
-            missing = [(a, None) for a, _ in steps if a not in _REDUCE_MEMO]
-            if missing:
-                stack.append((cur, steps))
-                stack.extend(missing)
-                continue
-        out = TermSum()
-        for a, c in steps:
-            out = out + _REDUCE_MEMO[a].scale(c)
-        _REDUCE_MEMO[cur] = out
-    return _REDUCE_MEMO[t]
+    return reduce_term_sum(TermSum([(t, 1)]))
 
 
 def reduce_term_sum(s: TermSum) -> TermSum:
-    out = TermSum()
+    """reduce_integral applied to every atom of s, class d = ell - k by class."""
+    classes: dict[int, dict[int, dict[int, Fraction]]] = {}
     for t, c in s.items():
-        out = out + reduce_integral(t).scale(c)
-    return out
+        if t.ell <= t.k:
+            raise NotIntegrable(f"reduction needs ell > k, got {t}")
+        classes.setdefault(t.ell - t.k, {}).setdefault(t.k, {})[t.j] = c
+    return TermSum({AiryTerm(j, 0, d): c for d, atoms in classes.items()
+                    for j, c in _reduce_class(d, atoms).items()})
 
 
 class RationalPoly:
@@ -338,7 +351,7 @@ def term_sum_to_poly(s: TermSum) -> RationalPoly:
     return RationalPoly(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def moment_polynomial(n: int) -> RationalPoly:
     """The polynomial p_n with E V^n = (1/2 pi i) * integral of p_n / Ai^2.
 
@@ -350,8 +363,10 @@ def moment_polynomial(n: int) -> RationalPoly:
         raise ValueError("n must be an integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    integrand = inv_ai_derivative(n).shift_ell(1)
-    return term_sum_to_poly(reduce_term_sum(integrand))
+    atoms: dict[int, dict[int, int]] = {}
+    for (j, k, _), c in _DERIVATIVES.get(n).items():
+        atoms.setdefault(k, {})[j] = c  # times 1/Ai: the atom (j, k, k + 2)
+    return RationalPoly(_reduce_class(2, atoms))
 
 
 def moment_polynomial_json(n: int) -> dict:
@@ -363,30 +378,30 @@ def moment_polynomial_json(n: int) -> dict:
     }
 
 
-_SINH_B: list[Fraction] = [Fraction(1)]
+def _sinh_gf_coefficients(m_max: int) -> list[Fraction]:
+    """E_m = (2m)! [x^{2m}] x/sinh(x) for m = 0..m_max.
+
+    Exact power-series inversion of sinh(x)/x = sum x^{2r}/(2r+1)!, which
+    in these units reads sum_{r=0}^{m} C(2m+1, 2r+1) E_{m-r} = [m == 0].
+    """
+    e = [Fraction(1)]
+    for m in range(1, m_max + 1):
+        acc = sum(math.comb(2 * m + 1, 2 * r + 1) * e[m - r] for r in range(1, m + 1))
+        e.append(-acc / (2 * m + 1))
+    return e
 
 
 def sinh_gf_coefficient(n: int) -> Fraction:
     """n! times the x^n coefficient of x/sinh(x).
 
     This is the conjectured closed form for the leading coefficient of p_n
-    (n even); odd n gives 0.  Computed by exact power-series inversion of
-    sinh(x)/x = sum x^{2m}/(2m+1)!.
+    (n even); odd n gives 0.
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("n must be an integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n % 2:
-        return Fraction(0)
-    m_max = n // 2
-    while len(_SINH_B) <= m_max:
-        m = len(_SINH_B)
-        acc = Fraction(0)
-        for r in range(1, m + 1):
-            acc += Fraction(1, math.factorial(2 * r + 1)) * _SINH_B[m - r]
-        _SINH_B.append(-acc)
-    return math.factorial(n) * _SINH_B[m_max]
+    return Fraction(0) if n % 2 else _sinh_gf_coefficients(n // 2)[-1]
 
 
 @dataclass(frozen=True)
@@ -432,6 +447,7 @@ def verify_conjectures(max_n: int) -> ConjectureReport:
     """
     if isinstance(max_n, bool) or not isinstance(max_n, int) or max_n < 0:
         raise ValueError("max_n must be a nonnegative integer")
+    sinh = _sinh_gf_coefficients(max_n // 2)
     rows = []
     for n in range(max_n + 1):
         p = moment_polynomial(n)
@@ -448,6 +464,6 @@ def verify_conjectures(max_n: int) -> ConjectureReport:
         mod3 = all(j % 3 == half % 3 for j, _ in p.items())
         rows.append(ConjectureRow(
             n=n, poly_is_zero=p.is_zero, degree=deg, degree_ok=(deg == half),
-            leading=lead, leading_ok=(lead == sinh_gf_coefficient(n)),
+            leading=lead, leading_ok=(lead == sinh[half]),
             mod3_ok=mod3))
     return ConjectureReport(max_n=max_n, rows=tuple(rows))

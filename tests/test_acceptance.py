@@ -72,6 +72,15 @@ def test_criterion_02_conjectures_to_100(report):
     assert ok, (rep.failures(), dt)
 
 
+def test_criterion_02b_conjectures_to_200(report):
+    t0 = time.perf_counter()
+    rep = verify_conjectures(200)
+    dt = time.perf_counter() - t0
+    ok = rep.all_ok and rep.odd_all_zero and dt < 20.0
+    report(2, ok, f"(b) the same checks for n <= 200; {dt:.1f} s")
+    assert ok, (rep.failures(), dt)
+
+
 def test_criterion_03_reduction_identities(report):
     i102 = TermSum([((1, 0, 2), 1)])
     i202 = TermSum([((2, 0, 2), 1)])

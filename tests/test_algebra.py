@@ -5,7 +5,11 @@ x/sinh(x) series symbolically, and mpmath integrates single atoms along the
 imaginary axis to confirm the reduction recurrence numerically.
 """
 
+import hashlib
+import json
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -43,6 +47,17 @@ KNOWN_POLYS = {
     12: {6: F(1414477, 1365), 3: F(-2419532, 273), 0: F(1989472, 1365)},
 }
 
+# sha256 of json.dumps([moment_polynomial_json(n) for n in range(101)]) and of
+# json.dumps([[[list(t), str(c)] for t, c in inv_ai_derivative(m).items()]
+# for m in range(61)]), frozen from the term-by-term Fraction implementation
+POLYS_0_100_SHA256 = "d83f98a1afef2c4aa1945b1d90aeb592bf8b3d59be766a1f562add8cdce9a559"
+DERIVATIVES_0_60_SHA256 = "2549c1a78d5408baa60f79da5dd7d797c2b25439248c5c0d7e66b6af7b01dfe7"
+
+
+def _cold():
+    moment_polynomial.cache_clear()
+    algebra._DERIVATIVES.clear()
+
 
 # ---------------------------------------------------------------- polynomials
 
@@ -76,6 +91,49 @@ def test_moment_polynomial_json():
         "coeffs": {"0": "26/21", "3": "-31/21"},
     }
     assert moment_polynomial_json(3) == {"n": 3, "coeffs": {}}
+
+
+def test_exact_values_bit_identical():
+    def sha(doc):
+        return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+    _cold()
+    assert sha([moment_polynomial_json(n) for n in range(101)]) == POLYS_0_100_SHA256
+    derivs = [[[list(t), str(c)] for t, c in inv_ai_derivative(m).items()]
+              for m in range(61)]
+    assert sha(derivs) == DERIVATIVES_0_60_SHA256
+
+
+def test_cold_verify_to_200_memory():
+    # one derivative order is held at a time; keeping every order grows
+    # about as m^3 (above 100 MB by m = 200)
+    _cold()
+    tracemalloc.start()
+    try:
+        rep = verify_conjectures(200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.all_ok
+    assert peak < 16 * 2**20, peak
+
+
+def test_cold_moment_polynomials_agree_across_threads():
+    orders = [range(40), range(39, -1, -1), range(10, 50, 3), [45, 5, 30, 12, 44, 2]]
+    expect = {n: moment_polynomial(n) for n in range(50)}
+    _cold()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(lambda ns: [(n, moment_polynomial(n)) for n in ns], ns)
+                       for ns in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        for n, p in got:
+            assert p == expect[n], n
 
 
 @pytest.mark.parametrize("bad", [-1, -4, 2.0, "2", True])
@@ -195,6 +253,38 @@ def test_reduction_preserves_class(pairs):
     for t, _ in red.items():
         assert t.k == 0
         assert t.ell in classes
+
+
+def _reference_reduce(j, k, ell):
+    """The recurrence atom by atom in Fractions, as a dict of k = 0 atoms."""
+    if j < 0 or k < 0:
+        return {}
+    if k == 0:
+        return {(j, 0, ell): F(1)}
+    steps = [((j - 1, k - 1, ell - 1), F(j, ell - 1))]
+    if k >= 2:
+        steps.append(((j + 1, k - 2, ell - 2), F(k - 1, ell - 1)))
+    out = {}
+    for atom, c in steps:
+        for t, v in _reference_reduce(*atom).items():
+            out[t] = out.get(t, 0) + c * v
+    return out
+
+
+mixed_atoms = st.tuples(
+    st.integers(0, 8), st.integers(0, 6), st.integers(1, 4)
+).map(lambda t: AiryTerm(t[0], t[1], t[1] + t[2]))
+
+
+@given(st.lists(st.tuples(mixed_atoms, st.integers(-50, 50)), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_reduction_matches_reference_recurrence(pairs):
+    s = TermSum(pairs)
+    expect = {}
+    for t, c in s.items():
+        for u, v in _reference_reduce(*t).items():
+            expect[u] = expect.get(u, 0) + c * v
+    assert reduce_term_sum(s) == TermSum(expect)
 
 
 @given(st.lists(st.tuples(small_atoms, st.integers(-9, 9)), max_size=5))
@@ -335,9 +425,7 @@ def test_cold_caches_do_not_recurse_by_order():
             frame, n = frame.f_back, n + 1
         return n
 
-    inv_ai_derivative.cache_clear()
-    moment_polynomial.cache_clear()
-    algebra._REDUCE_MEMO.clear()
+    _cold()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth() + 30)
     try:

@@ -138,6 +138,13 @@ def test_verify_passes(capsys):
     assert "VERIFICATION FAILED" not in out
 
 
+def test_verify_to_200(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "200")
+    assert code == 0
+    assert "(201 rows)" in out
+    assert "all checks passed" in out
+
+
 def test_verify_detects_corruption(capsys, monkeypatch):
     real = chernoff.algebra.moment_polynomial.__wrapped__
 
