@@ -3,6 +3,11 @@
 Two-sided Brownian paths on a symmetric grid t = i h, |i| <= N, built from
 per-path counter-based generators (Philox keyed by (seed, path_index)), so
 path p is bit-identical no matter how paths are batched or distributed.
+Paths are built in blocks of about 2 MiB of grid values, sized to stay in
+a core's L2 cache, and the blocks run on a thread pool with one worker per
+core (the normal fills and array passes release the interpreter lock);
+results are read back in block order, so the samples are the same for any
+block size and any number of workers.
 The argmax is taken over the grid with ties resolved toward the smallest
 |t| (then the smaller t); the sampling error is what `estimate` reports,
 while the O(h^{1/2})-to-O(h) discretization bias is measured, not assumed,
@@ -14,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,10 +27,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import UnknownStatistic
+from .errors import OverflowDomain, UnknownStatistic
 from .moments import CANONICAL_GAMMA
 
-_CHUNK = 256
+_BLOCK_BYTES = 2 * 2**20  # grid values per block: about one core's L2
 _BOUNDARY_MARGIN = 0.5
 _BOUNDARY_FRACTION = 1e-4
 
@@ -38,14 +44,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma)
-                and self.gamma > 0):
+        def real(x):
+            return isinstance(x, (int, float)) and not isinstance(x, bool) \
+                and math.isfinite(x)
+
+        if not (real(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be a positive real")
-        if not (isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon)
-                and self.horizon > 0):
+        if not (real(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be a positive real")
-        if not (isinstance(self.step, (int, float)) and math.isfinite(self.step)
-                and 0 < self.step <= self.horizon):
+        if not (real(self.step) and 0 < self.step <= self.horizon):
             raise ValueError("step must lie in (0, horizon]")
         if isinstance(self.num_paths, bool) or not isinstance(self.num_paths, int) \
                 or self.num_paths < 1:
@@ -53,6 +60,9 @@ class SimConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
                 or not 0 <= self.seed < 2**63:
             raise ValueError("seed must be an integer in [0, 2^63)")
+        ratio = self.horizon / self.step
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError("horizon must be an integer multiple of step")
         if self.steps_per_side < 2:
             raise ValueError("horizon/step must give at least 2 grid steps per side")
 
@@ -82,14 +92,12 @@ class EstimateResult:
     num_paths: int
 
 
-def _path_normals(seed: int, first: int, count: int, n_incr: int) -> np.ndarray:
-    """Increment matrix for paths [first, first+count); row i is the full
-    increment stream of path first+i, drawn from its own keyed generator."""
-    out = np.empty((count, n_incr))
-    for i in range(count):
-        gen = np.random.Generator(np.random.Philox(key=[seed, first + i]))
-        out[i] = gen.standard_normal(n_incr)
-    return out
+def _workers() -> int:
+    """One worker thread per core this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _tie_break_order(t: np.ndarray) -> np.ndarray:
@@ -98,42 +106,81 @@ def _tie_break_order(t: np.ndarray) -> np.ndarray:
 
 
 def _pick_argmax(y: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Row-wise argmax with ties resolved by the given column order."""
-    mx = y.max(axis=1)
-    hits = y[:, order] == mx[:, None]
-    return order[np.argmax(hits, axis=1)]
+    """Row-wise argmax with ties resolved by the given column order.
+
+    Only rows whose maximum occurs more than once are reordered.
+    """
+    pick = np.argmax(y, axis=1)
+    mx = y[np.arange(y.shape[0]), pick]
+    tied = np.flatnonzero(np.count_nonzero(y == mx[:, None], axis=1) > 1)
+    if tied.size:
+        hits = y[tied][:, order] == mx[tied, None]
+        pick[tied] = order[np.argmax(hits, axis=1)]
+    return pick
+
+
+def _block(cfg: SimConfig, lo: int, count: int, strides: tuple[int, ...]) -> list:
+    """Paths [lo, lo+count): one (v, m, w_at_argmax) triple of arrays per
+    stride, the argmax taken over every stride-th grid point."""
+    n = cfg.steps_per_side
+    sq = math.sqrt(cfg.step)
+    t = cfg.step * np.arange(-n, n + 1)
+    drift = cfg.gamma * t * t
+
+    # Path p's increments are the stream of Philox keyed by (seed, p), read
+    # from its start; resetting one generator's state is far cheaper than
+    # constructing one per path.
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    incr = np.empty((count, 2 * n))
+    for i in range(count):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros,
+                      "key": np.array([cfg.seed, lo + i], dtype=np.uint64)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        gen.standard_normal(out=incr[i])
+
+    w = np.empty((count, 2 * n + 1))
+    w[:, n] = 0.0
+    np.cumsum(incr[:, :n], axis=1, out=w[:, n + 1:])
+    w[:, n + 1:] *= sq
+    np.cumsum(incr[:, n:], axis=1, out=w[:, :n][:, ::-1])
+    w[:, :n] *= sq
+    y = w - drift
+
+    rows = np.arange(count)
+    out = []
+    for k in strides:
+        pick = _pick_argmax(y[:, ::k], _tie_break_order(t[::k]))
+        out.append((t[::k][pick], y[:, ::k][rows, pick], w[:, ::k][rows, pick]))
+    return out
+
+
+def _sample(cfg: SimConfig, strides: tuple[int, ...]) -> list:
+    """All paths of cfg in blocks of about _BLOCK_BYTES of grid values, run on
+    a thread pool; one (v, m, w_at_argmax) triple of arrays per stride."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    rows = max(1, _BLOCK_BYTES // (8 * (2 * cfg.steps_per_side + 1)))
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        blocks = [pool.submit(_block, cfg, lo, min(rows, cfg.num_paths - lo), strides)
+                  for lo in range(0, cfg.num_paths, rows)]
+        try:
+            parts = [b.result() for b in blocks]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [tuple(np.concatenate([p[j][c] for p in parts]) for c in range(3))
+            for j in range(len(strides))]
 
 
 def simulate(cfg: SimConfig) -> SampleSet:
     """Simulate argmax samples; emits a warning if a non-negligible fraction
     of paths attains the maximum within 0.5 of the horizon boundary."""
-    n = cfg.steps_per_side
-    h = cfg.step
-    sq = math.sqrt(h)
-    t = h * np.arange(-n, n + 1)
-    drift = cfg.gamma * t * t
-    order = _tie_break_order(t)
-
-    v = np.empty(cfg.num_paths)
-    m = np.empty(cfg.num_paths)
-    w_at = np.empty(cfg.num_paths)
-
-    for lo in range(0, cfg.num_paths, _CHUNK):
-        count = min(_CHUNK, cfg.num_paths - lo)
-        incr = _path_normals(cfg.seed, lo, count, 2 * n)
-        w = np.empty((count, 2 * n + 1))
-        w[:, n] = 0.0
-        np.cumsum(incr[:, :n], axis=1, out=w[:, n + 1:])
-        w[:, n + 1:] *= sq
-        np.cumsum(incr[:, n:], axis=1, out=w[:, :n][:, ::-1])
-        w[:, :n] *= sq
-        y = w - drift
-        pick = _pick_argmax(y, order)
-        rows = np.arange(count)
-        v[lo:lo + count] = t[pick]
-        m[lo:lo + count] = y[rows, pick]
-        w_at[lo:lo + count] = w[rows, pick]
-
+    [(v, m, w_at)] = _sample(cfg, (1,))
     frac = float(np.mean(np.abs(v) >= cfg.horizon - _BOUNDARY_MARGIN))
     if frac >= _BOUNDARY_FRACTION:
         warnings.warn(
@@ -155,7 +202,8 @@ def estimate(s: SampleSet, statistic: str, order: Optional[int] = None,
         if order is None or isinstance(order, bool) or not isinstance(order, int) \
                 or order < 0:
             raise ValueError("v_moment requires a nonnegative integer order")
-        x = s.v ** order
+        with np.errstate(over="ignore"):
+            x = s.v ** order
     elif statistic == "m_mean":
         x = s.m
     elif statistic == "w_at_argmax_mean":
@@ -167,10 +215,14 @@ def estimate(s: SampleSet, statistic: str, order: Optional[int] = None,
         x = np.cos(t * s.v)
     else:
         raise UnknownStatistic(f"unknown statistic {statistic!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, sd = float(x.mean()), float(x.std(ddof=1))
+    if not (math.isfinite(value) and math.isfinite(sd)):
+        what = f"v_moment of order {order}" if statistic == "v_moment" else statistic
+        raise OverflowDomain(f"{what}: the samples or their squared deviations "
+                             f"overflow double precision")
     n = x.shape[0]
-    return EstimateResult(value=float(x.mean()),
-                          stderr=float(x.std(ddof=1) / math.sqrt(n)),
-                          num_paths=n)
+    return EstimateResult(value=value, stderr=sd / math.sqrt(n), num_paths=n)
 
 
 def discretization_probe(cfg: SimConfig) -> tuple[SampleSet, SampleSet]:
@@ -182,49 +234,12 @@ def discretization_probe(cfg: SimConfig) -> tuple[SampleSet, SampleSet]:
     Monte Carlo noise cancelling.  Requires an even number of steps per
     side so the coarse grid contains t = 0 and both endpoints.
     """
-    n = cfg.steps_per_side
-    if n % 2:
+    if cfg.steps_per_side % 2:
         raise ValueError("discretization_probe needs an even steps_per_side")
-    h = cfg.step
-    sq = math.sqrt(h)
-    t = h * np.arange(-n, n + 1)
-    drift = cfg.gamma * t * t
-    order_f = _tie_break_order(t)
-    t_c = t[::2]
-    order_c = _tie_break_order(t_c)
-
-    out = {}
-    for tag in ("f", "c"):
-        out[tag] = (np.empty(cfg.num_paths), np.empty(cfg.num_paths),
-                    np.empty(cfg.num_paths))
-
-    for lo in range(0, cfg.num_paths, _CHUNK):
-        count = min(_CHUNK, cfg.num_paths - lo)
-        incr = _path_normals(cfg.seed, lo, count, 2 * n)
-        w = np.empty((count, 2 * n + 1))
-        w[:, n] = 0.0
-        np.cumsum(incr[:, :n], axis=1, out=w[:, n + 1:])
-        w[:, n + 1:] *= sq
-        np.cumsum(incr[:, n:], axis=1, out=w[:, :n][:, ::-1])
-        w[:, :n] *= sq
-        y = w - drift
-        rows = np.arange(count)
-
-        pick = _pick_argmax(y, order_f)
-        out["f"][0][lo:lo + count] = t[pick]
-        out["f"][1][lo:lo + count] = y[rows, pick]
-        out["f"][2][lo:lo + count] = w[rows, pick]
-
-        pick_c = _pick_argmax(y[:, ::2], order_c)
-        out["c"][0][lo:lo + count] = t_c[pick_c]
-        out["c"][1][lo:lo + count] = y[:, ::2][rows, pick_c]
-        out["c"][2][lo:lo + count] = w[:, ::2][rows, pick_c]
-
-    fine = SampleSet(v=out["f"][0], m=out["f"][1], w_at_argmax=out["f"][2],
-                     config=cfg)
-    coarse_cfg = dataclasses.replace(cfg, step=2.0 * h)
-    coarse = SampleSet(v=out["c"][0], m=out["c"][1], w_at_argmax=out["c"][2],
-                       config=coarse_cfg)
+    (v, m, w_at), (v_c, m_c, w_c) = _sample(cfg, (1, 2))
+    fine = SampleSet(v=v, m=m, w_at_argmax=w_at, config=cfg)
+    coarse = SampleSet(v=v_c, m=m_c, w_at_argmax=w_c,
+                       config=dataclasses.replace(cfg, step=2.0 * cfg.step))
     return fine, coarse
 
 

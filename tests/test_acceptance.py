@@ -5,6 +5,7 @@ Each test prints "[criterion-NN] PASS/FAIL — detail" to the real stdout
 verdict lines in order.
 """
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -242,3 +243,22 @@ def test_criterion_10_monte_carlo_triangle(report, mc_probe):
     ok = ok and elapsed < 300.0
     report(10, ok, "; ".join(lines) + f"; {elapsed:.0f} s")
     assert ok, lines
+
+
+# sha256 of (v, m, w_at_argmax) for the fine and the coarse set of MC_CONFIG,
+# taken before the sampler was rewritten as threaded blocks
+MC_DIGESTS = (
+    "6894c8512bc38689a0a869e493419068e9d08d62a8bdf93c2d8f432313e5960a",
+    "7dfac87c8255a4db17f253912363b6b52fb81318e8e331cdecc2bc76f43f0fe5",
+)
+
+
+def test_criterion_10_samples_bit_identical(mc_probe):
+    fine, coarse, _ = mc_probe
+    digests = []
+    for s in (fine, coarse):
+        h = hashlib.sha256()
+        for a in (s.v, s.m, s.w_at_argmax):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == MC_DIGESTS

@@ -1,17 +1,27 @@
 """Monte-Carlo engine tests: determinism, algebraic identities, estimators.
 
 The path generator is keyed per path, so results must be bit-identical no
-matter how the work is chunked or how many paths run alongside.
+matter how the work is split into blocks, how many threads run them or how
+many paths run alongside.
 """
 
 import dataclasses
+import hashlib
+import importlib
 import math
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chernoff import (
     CANONICAL_GAMMA,
+    OverflowDomain,
     SampleSet,
     SimConfig,
     UnknownStatistic,
@@ -23,7 +33,35 @@ from chernoff import (
 )
 from chernoff.simulate import _pick_argmax, _tie_break_order
 
+# the package re-exports the function `simulate` under the module's name
+sim_module = importlib.import_module("chernoff.simulate")
+
 SMALL = SimConfig(horizon=3.0, step=0.01, num_paths=300, seed=7)
+
+# sha256 of (v, m, w_at_argmax) for simulate (equal to the probe's fine set)
+# and for the probe's coarse set, taken before the sampler was rewritten as
+# threaded blocks; seed 2026, horizon 4
+FROZEN_DIGESTS = {
+    (1e-3, 600): (
+        "bbaf8e2432337fb3ca3a7889e2f9d838fdc23432698647880fca0cab1f0a6944",
+        "9115843612077be3fce08324ee253348a3b0ba3effa4511b58dd18a9f0bc532d",
+    ),
+    (1e-2, 5120): (
+        "6325a476ed5278b78044e284f8edac07d4c2ff12fabff5adf19adc1d2f5b688c",
+        "1b892be521ce51a94282c8782159e8d2a77096a7fc1561229fe7911114673657",
+    ),
+}
+
+
+def sample_digest(s: SampleSet) -> str:
+    h = hashlib.sha256()
+    for a in (s.v, s.m, s.w_at_argmax):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def block_rows(cfg: SimConfig) -> int:
+    return sim_module._BLOCK_BYTES // (8 * (2 * cfg.steps_per_side + 1))
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +79,59 @@ def test_bit_identical_rerun(small_set):
     assert np.array_equal(small_set.w_at_argmax, again.w_at_argmax)
 
 
-def test_path_count_does_not_change_early_paths(small_set):
-    # 300 paths spans the internal chunk boundary; a longer run must agree
-    bigger = simulate(dataclasses.replace(SMALL, num_paths=500))
-    assert np.array_equal(bigger.v[:300], small_set.v)
-    assert np.array_equal(bigger.m[:300], small_set.m)
+def test_path_count_does_not_change_early_paths():
+    # the shorter run ends in a 5-path block; the longer one fills that block
+    rows = block_rows(SMALL)
+    shorter = simulate(dataclasses.replace(SMALL, num_paths=rows + 5))
+    longer = simulate(dataclasses.replace(SMALL, num_paths=2 * rows + 3))
+    assert shorter.num_paths > rows
+    assert np.array_equal(longer.v[:rows + 5], shorter.v)
+    assert np.array_equal(longer.m[:rows + 5], shorter.m)
+    assert np.array_equal(longer.w_at_argmax[:rows + 5], shorter.w_at_argmax)
+
+
+@pytest.mark.parametrize("step, paths", sorted(FROZEN_DIGESTS))
+def test_samples_match_frozen_digests(step, paths):
+    cfg = SimConfig(horizon=4.0, step=step, num_paths=paths, seed=2026)
+    assert paths > block_rows(cfg)
+    fine_digest, coarse_digest = FROZEN_DIGESTS[step, paths]
+    assert sample_digest(simulate(cfg)) == fine_digest
+    fine, coarse = discretization_probe(cfg)
+    assert sample_digest(fine) == fine_digest
+    assert sample_digest(coarse) == coarse_digest
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_samples_do_not_depend_on_worker_count(monkeypatch, workers):
+    cfg = SimConfig(horizon=4.0, step=1e-2, num_paths=5120, seed=2026)
+    monkeypatch.setattr(sim_module, "_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fine, coarse = discretization_probe(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (sample_digest(fine), sample_digest(coarse)) == \
+        FROZEN_DIGESTS[1e-2, 5120]
+
+
+def test_failed_block_cancels_the_blocks_not_started(monkeypatch):
+    # a failure (or Ctrl-C) must not wait for every queued block to run
+    started = []
+
+    def block(cfg, lo, count, strides):
+        started.append(lo)
+        if lo == 0:
+            raise MemoryError("first block")
+        time.sleep(0.2)
+
+    monkeypatch.setattr(sim_module, "_block", block)
+    monkeypatch.setattr(sim_module, "_workers", lambda: 1)
+    cfg = SimConfig(horizon=4.0, step=1e-2, num_paths=20 * 327, seed=0)
+    assert block_rows(cfg) == 327
+    with pytest.raises(MemoryError, match="first block"):
+        simulate(cfg)
+    assert len(started) <= 3
 
 
 def test_seed_changes_output(small_set):
@@ -78,6 +164,27 @@ def test_tie_break_prefers_small_then_negative():
     pick = _pick_argmax(y, order)
     assert t[pick[0]] == -0.1  # negative wins the |t| tie
     assert t[pick[1]] == 0.0  # smallest |t| wins outright
+
+
+def pick_argmax_full_reorder(y, order):
+    # reference: reorder every row's columns, then take the first maximum
+    mx = y.max(axis=1)
+    hits = y[:, order] == mx[:, None]
+    return order[np.argmax(hits, axis=1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pick_argmax_matches_full_reorder(data):
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(st.integers(1, 8))
+    y = data.draw(hnp.arrays(np.float64, (rows, 2 * n + 1),
+                             elements=st.integers(-2, 2).map(float)))
+    t = 0.25 * np.arange(-n, n + 1)
+    for k in (1, 2):
+        order = _tie_break_order(t[::k])
+        assert np.array_equal(_pick_argmax(y[:, ::k], order),
+                              pick_argmax_full_reorder(y[:, ::k], order))
 
 
 # ---------------------------------------------------------------- estimators
@@ -124,6 +231,17 @@ def test_estimate_validation(small_set):
     )
     with pytest.raises(ValueError):
         estimate(one, "m_mean")
+
+
+@pytest.mark.parametrize("order", [700, 1500])
+def test_estimate_overflow_is_typed(order):
+    # 1.8^700 is finite but its squared deviations are not; 1.8^1500 is inf
+    v = np.array([1.8, -1.8, 0.5, 0.0])
+    s = SampleSet(v=v, m=np.zeros(4), w_at_argmax=np.zeros(4), config=SMALL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowDomain, match=f"v_moment of order {order}"):
+            estimate(s, "v_moment", order=order)
 
 
 # ---------------------------------------------------------------- probe
@@ -191,6 +309,10 @@ def test_no_boundary_warning_at_default_horizon(recwarn):
         {"seed": -1},
         {"seed": 2**63},
         {"seed": True},
+        {"gamma": True},
+        {"horizon": True},
+        {"step": True},
+        {"horizon": 4.0, "step": 0.3},  # grid would end at 3.9
         {"horizon": 1.0, "step": 1.0},  # only one step per side
     ],
 )
