@@ -13,7 +13,6 @@ from .errors import (
     OverflowDomain,
     UnknownStatistic,
 )
-from .airy import AiryEval, airy_ai, airy_bi, airy_zero
 from .algebra import (
     AiryTerm,
     ConjectureReport,
@@ -31,6 +30,9 @@ from .algebra import (
     term_sum_to_poly,
     verify_conjectures,
 )
+# moments before airy, so that numpy is first imported after the larger
+# modules are compiled: where no bytecode cache is written, compiling them
+# after numpy leaves `import chernoff` holding ~0.6 MB more
 from .moments import (
     CANONICAL_GAMMA,
     ContourSpec,
@@ -52,6 +54,7 @@ from .moments import (
     moment_by_parts,
     moment_quad,
 )
+from .airy import AiryEval, airy_ai, airy_zero
 from .simulate import (
     EstimateResult,
     SampleSet,
@@ -66,7 +69,7 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryEval", "airy_ai", "airy_bi", "airy_zero",
+    "AiryEval", "airy_ai", "airy_zero",
     "AiryTerm", "TermSum", "RationalPoly",
     "inv_ai_derivative", "term_sum_derivative", "term_sum_product",
     "reduce_integral", "reduce_term_sum", "term_sum_to_poly",

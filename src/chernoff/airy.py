@@ -1,16 +1,38 @@
 """Airy function evaluation in double precision with tracked error bounds.
 
-Three regimes cover the plane: the Maclaurin series near the origin, the
-large-|z| asymptotic expansion in the sector |arg z| <= 2*pi/3, and the
-rotation identity
+One array kernel, `_ai_kernel(z) -> (ai, aip, bnd)`, evaluates Ai, Ai' and
+an absolute error bound at every point of a node vector; `airy_ai` and
+`airy_zero` call it at length 1.  Three regimes cover the plane: the
+Maclaurin series for |z| <= 9, the large-|z| asymptotic expansion in the
+sector |arg z| <= 2*pi/3 for |z| > 4.5, and the rotation identity
 
     Ai(z) = -e^{-2*pi*i/3} Ai(z e^{-2*pi*i/3}) - e^{+2*pi*i/3} Ai(z e^{+2*pi*i/3})
 
-for the sector around the negative real axis.  In an overlap band both
-candidates are computed and the one with the smaller tracked bound wins.
-Every evaluation carries an absolute error bound accumulated from series
-tails, first omitted asymptotic terms, and rounding of the tracked
-magnitude sums -- nothing is assumed accurate by fiat.
+beyond that sector.  In the overlap band 4.5 < |z| <= 9 both candidates
+are computed and the one with the smaller tracked bound wins.  Every bound
+adds series tails, first omitted asymptotic terms, and rounding charged on
+the tracked magnitude sums -- nothing is assumed accurate by fiat.  Where
+Ai overflows the kernel returns ai = inf with aip = bnd = 0.
+
+The kernel takes blocks of 64 points.  In a block, the series points and
+the asymptotic ones (the rotation identity's two rotated points each)
+share one (terms, 2, points) array of terms, built from powers of z^3 or
+of -1/zeta by repeated squaring, with no loop over terms:
+
+- A series point sums a fixed number of terms set by its radius band
+  (1, 2, 3, 4.5, 6, 7.5, 9): the count at which the term-by-term stopping
+  rule (ratio of successive terms below 1/2, last terms below 1e-17 of
+  the magnitude sums) stops at the band's outer radius.
+- An asymptotic point reads its own optimal-truncation index off all
+  61 terms (k <= 60).
+- Each sum takes one error-free extraction (Rump, Ogita & Oishi, SIAM J.
+  Sci. Comput. 31, 2008; see `_exact_sum`), so its rounding error is far
+  below the 4 eps sum |t| (series) or 6 eps sum |t| (asymptotic) charged.
+
+Nothing is decided per block, and zero terms beyond a point's truncation
+index change none of its sums, so every point's bits are those of its
+length-1 evaluation: tables that copy nodes from earlier tables do not
+depend on history.
 """
 from __future__ import annotations
 
@@ -19,12 +41,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import AccuracyUnreachable, OverflowDomain
 
 # Ai(0) = 3^{-2/3}/Gamma(2/3), Ai'(0) = -3^{-1/3}/Gamma(1/3)
 _AI0 = 0.35502805388781723926006318600418317639797917419918
 _AIP0 = -0.25881940379280679840518356018920396347909113835493
-_SQRT3 = math.sqrt(3.0)
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_THIRDS = 2.0 / 3.0
 _EPS = 2.220446049250313e-16
@@ -34,9 +57,57 @@ _ROT_M = cmath.exp(-2j * cmath.pi / 3.0)
 
 _SERIES_ONLY_RADIUS = 4.5   # below: series alone suffices
 _SERIES_MAX_RADIUS = 9.0    # above: asymptotics alone; in between: take the better
-_SECTOR = 2.0 * math.pi / 3.0
+# |arg z| > 2 pi/3 + 1e-14  <=>  Re z < 0 and |Im z| < -Re z * _SLOPE
+_SLOPE = math.tan(math.pi / 3.0 - 1e-14)
 
 _DEFAULT_TARGET = 1e-12
+#: points per block, which bounds the kernel's working arrays
+_BLOCK = 64
+
+#: series radius bands and the index of the last term summed in each
+_BAND_RADII = np.array([1.0, 2.0, 3.0, 4.5, 6.0, 7.5, 9.0])
+_BAND_LAST = np.array([9, 13, 16, 20, 24, 29, 33])
+
+
+def _asymptotic_coefficients():
+    """u_k and v_k = u_k (6k+1)/(1-6k) of the Poincare expansion, k <= 60,
+    each correctly rounded from its exact ratio of integers."""
+    num, den = 1, 1
+    us, vs = [1.0], [1.0]
+    for k in range(1, 61):
+        num *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1)
+        den *= 216 * k * (2 * k - 1)
+        us.append(num / den)
+        vs.append(num * (6 * k + 1) / (den * (1 - 6 * k)))
+    return np.array(us), np.array(vs)
+
+
+_U, _V = _asymptotic_coefficients()
+_UV = np.stack([_U, _V], axis=1)[:, :, None]
+
+
+def _series_coefficients():
+    """Coefficients of the Maclaurin series grouped by powers z^{3n}.
+
+    Ai = Ai(0) f + Ai'(0) g with f = sum a_n z^{3n}, g = sum b_n z^{3n+1},
+    a_n = prod 1/((3k)(3k-1)), b_n = prod 1/((3k+1)(3k)).  Rows 0-1: Ai's
+    term n is z^{3n} (row0 + row1 z); rows 2-3: Ai''s is z^{3n} (row2 +
+    row3 z^2), zero beyond the last band's terms.  The second array holds
+    the magnitudes of the f, g, f', g' terms over |z|^{3n}, |z|^{3n+1},
+    |z|^{3n+2} and |z|^{3n}.
+    """
+    pa, pb = [1], [1]                 # a_n = 1/pa[n], b_n = 1/pb[n]
+    for k in range(1, int(_BAND_LAST[-1]) + 2):
+        pa.append(pa[-1] * (3 * k) * (3 * k - 1))
+        pb.append(pb[-1] * (3 * k + 1) * (3 * k))
+    mags = np.array([[1 / pa[n], 1 / pb[n], 3 * (n + 1) / pa[n + 1], (3 * n + 1) / pb[n]]
+                     for n in range(int(_BAND_LAST[-1]) + 1)]).T
+    coef = np.zeros((4, _U.size))
+    coef[:, :mags.shape[1]] = [_AI0 * mags[0], _AIP0 * mags[1], _AIP0 * mags[3], _AI0 * mags[2]]
+    return coef, mags
+
+
+_SER, _SER_MAG = _series_coefficients()
 
 
 @dataclass(frozen=True)
@@ -48,183 +119,192 @@ class AiryEval:
     abs_error_bound: float
 
 
-def _series_sums(z: complex):
-    """Maclaurin partial sums of f, g, f', g' with tail + rounding bounds.
+def _exact_sum(t: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, to within eps |sum| + 1e-26 max |t| per
+    component, each component's result depending on its own terms alone.
 
-    Ai = Ai(0) f + Ai'(0) g and Bi = sqrt(3) (Ai(0) f - Ai'(0) g) where
-    f = sum z^{3n} prod 1/((3k)(3k-1)) and g = sum z^{3n+1} prod 1/((3k+1)(3k)).
-    Compensated summation keeps the rounding term proportional to the
-    magnitude sums, which is what the bounds track.
+    One error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+    31, 2008): with sigma = 2^k >= 128 max |t|, q = (sigma + t) - sigma is
+    t on the grid of multiples of eps sigma, and t - q is exact.  Every
+    partial sum of the q is on that grid and below 2^53 steps, so sum q is
+    exact in any order; the low parts t - q, each at most eps sigma, are
+    added in sequence.
     """
-    z2 = z * z
-    z3 = z2 * z
-    az3 = abs(z3)
-
-    tf = 1.0 + 0.0j
-    tg = z
-    tfp = 0.5 * z2        # first nonzero f' term (n = 1)
-    tgp = 1.0 + 0.0j
-
-    sf, cf = tf, 0.0j
-    sg, cg = tg, 0.0j
-    sfp, cfp = 0.0j, 0.0j
-    sgp, cgp = tgp, 0.0j
-    af, ag, afp, agp = 1.0, abs(z), 0.0, 1.0
-
-    n = 0
-    while n < 400:
-        n += 1
-        tf = tf * z3 / ((3 * n) * (3 * n - 1))
-        tg = tg * z3 / ((3 * n + 1) * (3 * n))
-        if n >= 2:
-            tfp = tfp * z3 / ((3 * n - 1) * (3 * n - 3))
-        tgp = tgp * z3 / ((3 * n) * (3 * n - 2))
-
-        y = tf - cf
-        t = sf + y
-        cf = (t - sf) - y
-        sf = t
-        y = tg - cg
-        t = sg + y
-        cg = (t - sg) - y
-        sg = t
-        y = tfp - cfp
-        t = sfp + y
-        cfp = (t - sfp) - y
-        sfp = t
-        y = tgp - cgp
-        t = sgp + y
-        cgp = (t - sgp) - y
-        sgp = t
-
-        af += abs(tf)
-        ag += abs(tg)
-        afp += abs(tfp)
-        agp += abs(tgp)
-
-        ratio = az3 / ((3 * n + 3) * (3 * n + 2))
-        if ratio < 0.5:
-            biggest = max(abs(tf), abs(tg), abs(tfp), abs(tgp))
-            scale = max(af, ag, afp, agp)
-            if biggest < 1e-17 * scale:
-                break
-
-    # geometric tail bound: next term <= |t| * ratio / (1 - ratio), ratio < 1/2
-    tail = 2.0 * max(abs(tf), abs(tg), abs(tfp), abs(tgp))
-    ef = tail + 4.0 * _EPS * af
-    eg = tail + 4.0 * _EPS * ag
-    efp = tail + 4.0 * _EPS * afp
-    egp = tail + 4.0 * _EPS * agp
-    return sf, sg, sfp, sgp, ef, eg, efp, egp
+    r = t.view(np.float64)
+    sigma = np.ldexp(1.0, np.frexp(np.abs(r).max(axis=0))[1] + 7)
+    q = (sigma + r) - sigma
+    return (q.sum(axis=0) + np.cumsum(r - q, axis=0)[-1]).view(t.dtype)
 
 
-def _series_pair(z: complex):
-    sf, sg, sfp, sgp, ef, eg, efp, egp = _series_sums(z)
-    ai = _AI0 * sf + _AIP0 * sg
-    aip = _AI0 * sfp + _AIP0 * sgp
-    e_ai = _AI0 * ef + abs(_AIP0) * eg + 2.0 * _EPS * abs(ai)
-    e_aip = _AI0 * efp + abs(_AIP0) * egp + 2.0 * _EPS * abs(aip)
-    return ai, aip, e_ai, e_aip
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0 .. x^(n-1) along a new first axis.  x^k is x^(k - 2^j) x^(2^j)
+    for the largest 2^j <= k, so it does not depend on n."""
+    p = np.empty((n,) + x.shape, x.dtype)
+    p[0] = 1.0
+    done, xp = 1, x
+    while done < n:
+        take = min(done, n - done)
+        np.multiply(p[:take], xp, out=p[done:done + take])
+        done, xp = done + take, xp * xp
+    return p
 
 
-def _asym_pair(z: complex):
-    """Poincare expansion of Ai, Ai' for |arg z| <= 2*pi/3, |z| >= 4.5.
+def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
+          free: int):
+    """sum_k coef_k x^k over k <= last, per point.
 
-    Sums u_k (-zeta)^{-k} and v_k (-zeta)^{-k} to optimal truncation; the
-    bound charges three times the first omitted term (the sector constant)
-    plus rounding over the magnitude sums and the exp/prefactor evaluation.
+    coef is (terms, 2, points): two series per point share the powers of
+    x.  mag bounds |coef| on the same layout; the magnitudes mag_k |x|^k
+    are summed for the rounding charge.  Points from index `free` on are
+    truncated optimally on their first series: before the first term that
+    does not decrease, or after the first below 1e-18 of the partial sum;
+    where neither comes, the last term is summed and also counted as the
+    first omitted one.  Returns the sums, the magnitude sums, |x|^last and
+    the first omitted magnitude.
     """
-    w = cmath.sqrt(z)
-    q = cmath.sqrt(w)                 # z^{1/4}, principal branch
-    zeta = _TWO_THIRDS * z * w
-    if -zeta.real > 705.0:
-        raise OverflowDomain(f"Ai({z!r}) overflows double precision")
+    n, cols = coef.shape[0], np.arange(x.size)
+    p = _powers(x, n)
+    t = p[:, None, :] * coef
+    pr = np.abs(p)
+    at = pr[:, None, :] * mag
+    trunc = np.zeros(x.size)
+    if free < x.size:
+        atu = at[1:, 0, free:]
+        grows = np.zeros(atu.shape, bool)
+        grows[1:] = atu[1:] >= atu[:-1]
+        stop = grows | (atu < 1e-18 * np.abs(np.cumsum(t[:, 0, free:], axis=0)[1:]))
+        j = stop.argmax(axis=0)
+        k = cols[:j.size]
+        hit = stop[j, k]
+        last[free:] = np.where(hit, j + ~grows[j, k], n - 1)
+        trunc[free:] = np.where(hit, atu[j, k], atu[-1])
+    m = int(last.max()) + 1
+    keep = (np.arange(m)[:, None] <= last)[:, None, :]
+    return (_exact_sum(np.where(keep, t[:m], 0.0)),
+            np.cumsum(np.where(keep, at[:m], 0.0), axis=0)[-1],
+            pr[last, cols], trunc)
 
-    minus_inv = -1.0 / zeta
-    su = 1.0 + 0.0j
-    sv = 1.0 + 0.0j
-    asum_u = 1.0
-    asum_v = 1.0
-    u = 1.0
-    powk = 1.0 + 0.0j
-    prev = math.inf
-    trunc = 0.0
-    k = 0
-    while k < 60:
-        k += 1
-        u = u * ((6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / (216.0 * k * (2 * k - 1))
-        v = u * (6 * k + 1) / (1.0 - 6 * k)
-        powk = powk * minus_inv
-        tu = u * powk
-        tv = v * powk
-        atu = abs(tu)
-        if atu >= prev:
-            trunc = atu           # first omitted term, divergence onset
-            break
-        su += tu
-        sv += tv
-        asum_u += atu
-        asum_v += abs(tv)
-        if atu < 1e-18 * abs(su):
-            trunc = atu
-            break
-        prev = atu
-    else:
-        trunc = prev
 
-    pref = cmath.exp(-zeta) / (2.0 * _SQRT_PI * q)
-    ai = pref * su
-    aip = -cmath.exp(-zeta) * q / (2.0 * _SQRT_PI) * sv
-
-    apref = abs(pref)
-    round_scale = (2.0 * abs(zeta) + 10.0) * _EPS
-    e_ai = apref * (3.0 * trunc + 6.0 * _EPS * asum_u) + round_scale * abs(ai)
-    apref_p = abs(q) * abs(cmath.exp(-zeta)) / (2.0 * _SQRT_PI)
-    e_aip = apref_p * (3.0 * trunc + 6.0 * _EPS * asum_v) + round_scale * abs(aip)
+def _asymptotic_values(zeta, q, s, a, trunc):
+    """Ai, Ai' and their bounds from the sums of u_k and v_k (-zeta)^{-k}:
+    three times the first omitted term (the sector constant), rounding on
+    the magnitude sums and the exp/prefactor evaluation."""
+    ez = np.exp(-zeta)
+    pref = ez / (2.0 * _SQRT_PI * q)
+    ai = pref * s[0]
+    aip = -ez * q / (2.0 * _SQRT_PI) * s[1]
+    round_scale = (2.0 * np.abs(zeta) + 10.0) * _EPS
+    e_ai = np.abs(pref) * (3.0 * trunc + 6.0 * _EPS * a[0]) + round_scale * np.abs(ai)
+    apref_p = np.abs(q) * np.abs(ez) / (2.0 * _SQRT_PI)
+    e_aip = apref_p * (3.0 * trunc + 6.0 * _EPS * a[1]) + round_scale * np.abs(aip)
     return ai, aip, e_ai, e_aip
 
 
-def _conn_pair(z: complex):
-    """Rotation identity for |arg z| > 2*pi/3; both rotated points land in
-    the asymptotic sector with nonnegative Re zeta, so nothing overflows."""
-    am, amp, eam, eamp = _asym_pair(z * _ROT_M)
-    ap, app, eap, eapp = _asym_pair(z * _ROT_P)
-    ai = -(_ROT_M * am + _ROT_P * ap)
-    aip = -(_ROT_P * amp + _ROT_M * app)
-    e_ai = 1.5 * (eam + eap) + 4.0 * _EPS * (abs(am) + abs(ap))
-    e_aip = 1.5 * (eamp + eapp) + 4.0 * _EPS * (abs(amp) + abs(app))
-    return ai, aip, e_ai, e_aip
+def _rotated(ai, aip, e_ai, e_aip, k: int):
+    """The rotation identity from rows k.. (z e^{-2 pi i/3}) and the same
+    number of rows after them (z e^{+2 pi i/3}): Ai, Ai' and the bound."""
+    m, p = slice(k, (ai.size + k) // 2), slice((ai.size + k) // 2, None)
+    e = 1.5 * (e_ai[m] + e_ai[p]) + 4.0 * _EPS * (np.abs(ai[m]) + np.abs(ai[p]))
+    e_p = 1.5 * (e_aip[m] + e_aip[p]) + 4.0 * _EPS * (np.abs(aip[m]) + np.abs(aip[p]))
+    return (-(_ROT_M * ai[m] + _ROT_P * ai[p]), -(_ROT_P * aip[m] + _ROT_M * aip[p]),
+            np.maximum(e, e_p))
 
 
-def _ai_pair(z: complex):
-    """Best-effort (Ai, Ai', bound): no target, never raises below overflow."""
-    z = complex(z)
-    r = abs(z)
-    best = None
-    if r <= _SERIES_MAX_RADIUS:
-        ai, aip, ea, eap = _series_pair(z)
-        best = (ai, aip, max(ea, eap))
-    if r > _SERIES_ONLY_RADIUS:
-        try:
-            # math.atan2, not cmath.phase: the latter raises OverflowError on
-            # subnormal angles with this libm
-            if abs(math.atan2(z.imag, z.real)) <= _SECTOR + 1e-14:
-                ai, aip, ea, eap = _asym_pair(z)
-            else:
-                ai, aip, ea, eap = _conn_pair(z)
-            cand = (ai, aip, max(ea, eap))
-            if best is None or cand[2] < best[2]:
-                best = cand
-        except OverflowDomain:
-            if best is None:
-                raise
-    ai, aip, bound = best
-    if z.imag == 0.0:
+def _block(z: np.ndarray):
+    """Ai, Ai' and the bound at up to a block of points.
+
+    The series points, the sector points and both rotations of the points
+    beyond the sector share one call of `_sums`.
+    """
+    r = np.hypot(z.real, z.imag)      # libm hypot: the same |z| as abs()
+    near = np.flatnonzero(r <= _SERIES_MAX_RADIUS)
+    far = r > _SERIES_ONLY_RADIUS
+    left = far & (z.real < 0.0) & (np.abs(z.imag) < -z.real * _SLOPE)
+    sec, rot = np.flatnonzero(far & ~left), np.flatnonzero(left)
+    za = z[sec]
+    if rot.size:
+        za = np.concatenate([za, z[rot] * _ROT_M, z[rot] * _ROT_P])
+    ns, na = near.size, za.size
+
+    # series rows: Ai = sum z^{3n} (c0 + c1 z), Ai' = sum z^{3n} (c2 + c3 z^2)
+    zs, rs = z[near], r[near]
+    rs2, z2 = rs * rs, zs * zs
+    band = _BAND_LAST[np.searchsorted(_BAND_RADII, rs)]
+    n = _U.size if na else int(band.max(initial=-1)) + 1
+    c = _SER[:, :n, None]
+    coef = np.empty((n, 2, ns + na), complex)
+    mag = np.empty(coef.shape)
+    coef[:, 0, :ns] = c[0] + c[1] * zs
+    coef[:, 1, :ns] = c[2] + c[3] * z2
+    c = np.abs(c)
+    mag[:, 0, :ns] = c[0] + c[1] * rs
+    mag[:, 1, :ns] = c[2] + c[3] * rs2
+    # asymptotic rows: sum u_k (-zeta)^{-k}, sum v_k (-zeta)^{-k}
+    w = np.sqrt(za)
+    q = np.sqrt(w)                    # z^{1/4}, principal branch
+    zeta = _TWO_THIRDS * za * w
+    over = -zeta.real > 705.0
+    zeta[over] = 1.0                  # keeps exp finite on rows thrown away
+    coef[:, :, ns:] = _UV[:n]
+    mag[:, :, ns:] = np.abs(_UV[:n])
+
+    x = np.concatenate([z2 * zs, -1.0 / zeta])
+    last = np.concatenate([band, np.zeros(na, int)])
+    s, a, xn, trunc = _sums(x, coef, mag, last, ns)
+
+    # series: tail 2 max |last term| of f, g, f', g' (ratio below 1/2),
+    # rounding 4 eps on each magnitude sum
+    ai = np.zeros(z.size, complex)
+    aip = np.zeros(z.size, complex)
+    bnd = np.full(z.size, np.inf)
+    one = np.ones(ns)
+    tail = (_AI0 + abs(_AIP0)) * 2.0 * (
+        xn[:ns] * _SER_MAG[:, band] * np.stack([one, rs, rs2, one])).max(axis=0)
+    e = tail + 4.0 * _EPS * a[:, :ns] + 2.0 * _EPS * np.abs(s[:, :ns])
+    ai[near], aip[near] = s[:, :ns]
+    bnd[near] = np.maximum(e[0], e[1])
+
+    # the asymptotic candidate wins where its bound is smaller
+    ca, cap, e_a, e_ap = _asymptotic_values(zeta, q, s[:, ns:], a[:, ns:], trunc[ns:])
+    cb, lost, idx = np.maximum(e_a, e_ap), over, sec
+    if rot.size:
+        k = sec.size
+        ra, rap, rb = _rotated(ca, cap, e_a, e_ap, k)
+        ca, cap = np.concatenate([ca[:k], ra]), np.concatenate([cap[:k], rap])
+        cb = np.concatenate([cb[:k], rb])
+        lost = np.concatenate([over[:k], over[k:k + rot.size] | over[k + rot.size:]])
+        idx = np.concatenate([sec, rot])
+    win = ~lost & (cb < bnd[idx])
+    idx = idx[win]
+    ai[idx], aip[idx], bnd[idx] = ca[win], cap[win], cb[win]
+
+    real = np.flatnonzero(z.imag == 0.0)
+    if real.size:
         # arithmetic dust from rotated branches; the value is real
-        bound += abs(ai.imag) + abs(aip.imag)
-        ai = complex(ai.real, 0.0)
-        aip = complex(aip.real, 0.0)
-    return ai, aip, bound
+        bnd[real] += np.abs(ai[real].imag) + np.abs(aip[real].imag)
+        ai[real] = ai[real].real
+        aip[real] = aip[real].real
+    bad = ~(np.isfinite(ai) & np.isfinite(aip) & np.isfinite(bnd))
+    ai[bad], aip[bad], bnd[bad] = np.inf, 0.0, 0.0
+    return ai, aip, bnd
+
+
+def _ai_kernel(z: np.ndarray):
+    """Ai, Ai' and the tracked absolute bound at every point of z.
+
+    Where Ai overflows it is returned as inf, with Ai' and the bound 0, so
+    every quantity that divides by Ai vanishes there exactly.  Each
+    point's result depends on that point alone.
+    """
+    z = np.ascontiguousarray(z, dtype=complex).ravel()
+    ai = np.empty(z.size, complex)
+    aip = np.empty(z.size, complex)
+    bnd = np.empty(z.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, z.size, _BLOCK):
+            hi = lo + _BLOCK
+            ai[lo:hi], aip[lo:hi], bnd[lo:hi] = _block(z[lo:hi])
+    return ai, aip, bnd
 
 
 def airy_ai(z, target_abs_err: float = _DEFAULT_TARGET) -> AiryEval:
@@ -241,103 +321,14 @@ def airy_ai(z, target_abs_err: float = _DEFAULT_TARGET) -> AiryEval:
     zc = complex(z)
     if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
         raise ValueError("z must be finite")
-    ai, aip, bound = _ai_pair(zc)
+    ai, aip, bnd = _ai_kernel(np.array([zc]))
+    if np.isinf(ai[0]):
+        raise OverflowDomain(f"Ai({zc!r}) overflows double precision")
+    bound = float(bnd[0])
     if bound > target_abs_err:
         raise AccuracyUnreachable(
             f"Ai({zc}): tracked bound {bound:.3e} exceeds target {target_abs_err:.3e}")
-    return AiryEval(ai=ai, ai_prime=aip, abs_error_bound=bound)
-
-
-def _bi_series(x: float):
-    sf, sg, sfp, sgp, ef, eg, efp, egp = _series_sums(complex(x))
-    bi = _SQRT3 * (_AI0 * sf.real - _AIP0 * sg.real)
-    bip = _SQRT3 * (_AI0 * sfp.real - _AIP0 * sgp.real)
-    e_bi = _SQRT3 * (_AI0 * ef + abs(_AIP0) * eg) + 2.0 * _EPS * abs(bi)
-    e_bip = _SQRT3 * (_AI0 * efp + abs(_AIP0) * egp) + 2.0 * _EPS * abs(bip)
-    return bi, bip, e_bi, e_bip
-
-
-def _bi_asym_pos(x: float):
-    # Bi(x) ~ e^{zeta}/(sqrt(pi) x^{1/4}) * sum u_k zeta^{-k}, x real > 0
-    zeta = _TWO_THIRDS * x * math.sqrt(x)
-    if zeta > 705.0:
-        raise OverflowDomain(f"Bi({x}) overflows double precision")
-    inv = 1.0 / zeta
-    s = 1.0
-    asum = 1.0
-    u = 1.0
-    powk = 1.0
-    prev = math.inf
-    trunc = 0.0
-    k = 0
-    while k < 60:
-        k += 1
-        u = u * ((6 * k - 5) * (6 * k - 3) * (6 * k - 1)) / (216.0 * k * (2 * k - 1))
-        powk *= inv
-        t = u * powk
-        at = abs(t)
-        if at >= prev:
-            trunc = at
-            break
-        s += t
-        asum += at
-        if at < 1e-18 * abs(s):
-            trunc = at
-            break
-        prev = at
-    else:
-        trunc = prev
-    pref = math.exp(zeta) / (_SQRT_PI * x ** 0.25)
-    bi = pref * s
-    e = pref * (3.0 * trunc + 6.0 * _EPS * asum) + (2.0 * zeta + 10.0) * _EPS * abs(bi)
-    return bi, e
-
-
-def _bi_conn_neg(x: float):
-    # Bi(z) = e^{i pi/6} Ai(z e^{2 pi i/3}) + e^{-i pi/6} Ai(z e^{-2 pi i/3})
-    z = complex(x)
-    ap, _, eap, _ = _asym_pair(z * _ROT_P)
-    am, _, eam, _ = _asym_pair(z * _ROT_M)
-    val = cmath.exp(1j * math.pi / 6.0) * ap + cmath.exp(-1j * math.pi / 6.0) * am
-    e = 1.5 * (eap + eam) + 4.0 * _EPS * (abs(ap) + abs(am)) + abs(val.imag)
-    return val.real, e
-
-
-def airy_bi(x: float, target_abs_err: float = _DEFAULT_TARGET) -> float:
-    """Bi on the real axis with the same error-bound discipline as airy_ai."""
-    if not (isinstance(target_abs_err, (int, float)) and math.isfinite(target_abs_err)
-            and target_abs_err > 0.0):
-        raise ValueError("target_abs_err must be a positive finite real")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    r = abs(x)
-    best = None
-    if r <= _SERIES_MAX_RADIUS:
-        bi, _, e, _ = _bi_series(x)
-        best = (bi, e)
-    if r > _SERIES_ONLY_RADIUS:
-        try:
-            cand = _bi_asym_pos(x) if x > 0 else _bi_conn_neg(x)
-            if best is None or cand[1] < best[1]:
-                best = cand
-        except OverflowDomain:
-            if best is None:
-                raise
-    bi, bound = best
-    if bound > target_abs_err:
-        raise AccuracyUnreachable(
-            f"Bi({x}): tracked bound {bound:.3e} exceeds target {target_abs_err:.3e}")
-    return bi
-
-
-def _bi_pair(x: float):
-    """(Bi, Bi', bound) on the real axis; derivative only where the series
-    holds, which covers the Wronskian window used by the checks."""
-    if abs(x) > _SERIES_MAX_RADIUS:
-        raise ValueError("_bi_pair is series-based; |x| <= 9 required")
-    bi, bip, e_bi, e_bip = _bi_series(x)
-    return bi, bip, max(e_bi, e_bip)
+    return AiryEval(ai=complex(ai[0]), ai_prime=complex(aip[0]), abs_error_bound=bound)
 
 
 _ZERO_MAX_N = 100
@@ -354,44 +345,24 @@ def airy_zero(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _airy_zero_cached(n: int) -> float:
+    """Newton from the asymptotic guess, then a certified sign change."""
     t = 3.0 * math.pi * (4 * n - 1) / 8.0
     t2 = t * t
-    guess = -(t ** _TWO_THIRDS) * (
+    x = -(t ** _TWO_THIRDS) * (
         1.0 + 5.0 / 48.0 / t2 - 5.0 / 36.0 / (t2 * t2)
         + 77125.0 / 82944.0 / (t2 * t2 * t2))
-
-    def f(x: float) -> float:
-        return _ai_pair(complex(x))[0].real
-
-    spacing = math.pi / math.sqrt(-guess)
-    half = 0.3 * spacing
-    lo, hi = guess - half, guess + half
-    flo, fhi = f(lo), f(hi)
-    expand = 0
-    while flo * fhi > 0.0 and expand < 6:
-        half *= 2.0
-        lo, hi = guess - half, guess + half
-        flo, fhi = f(lo), f(hi)
-        expand += 1
-    if flo * fhi > 0.0:
+    for _ in range(6):
+        ai, aip, bnd = _ai_kernel(np.array([x]))
+        step = ai[0].real / aip[0].real
+        x -= step
+        # quadratic convergence: once the step is within the evaluation's
+        # own uncertainty, the next one would be noise
+        if abs(step) <= max(4.0 * _EPS * abs(x), bnd[0] / abs(aip[0].real)):
+            break
+    # Ai changes sign on [x - d, x + d] with each end's value above its
+    # bound, so a zero lies within d of x
+    d = 8.0 * bnd[0] / abs(aip[0].real) + 4.0 * _EPS * abs(x)
+    ai, _, bnd = _ai_kernel(np.array([x - d, x + d]))
+    if not (ai[0].real * ai[1].real < 0.0 and np.all(np.abs(ai.real) > bnd)):
         raise AccuracyUnreachable(f"could not bracket Airy zero #{n}")
-
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 4.0 * _EPS * abs(mid):
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-
-    x = 0.5 * (lo + hi)
-    for _ in range(2):            # Newton polish: quadratic near a simple zero
-        ai, aip, _ = _ai_pair(complex(x))
-        if aip.real != 0.0:
-            x -= ai.real / aip.real
-    return x
+    return float(x)

@@ -39,9 +39,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import algebra
-from .airy import _ai_pair, airy_zero
+from .airy import _ai_kernel, airy_zero
 from .algebra import RationalPoly
-from .errors import ContourTooLeft, NoConvergence, OverflowDomain
+from .errors import ContourTooLeft, NoConvergence
 
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
@@ -99,20 +99,14 @@ class QuadResult:
 
 
 def _airy_nodes(z: np.ndarray):
-    """Ai, Ai' and the tracked absolute bound at every point of z.
+    """Ai, Ai' and the tracked absolute bound at every point of z, in one
+    call of the array kernel.
 
     Where Ai overflows it is stored as inf, with Ai' and the bound 0, so
-    every integrand (each divides by Ai) vanishes there exactly.
+    every integrand (each divides by Ai) vanishes there exactly.  A node's
+    values do not depend on the other nodes evaluated with it.
     """
-    ai = np.empty(z.shape, complex)
-    aip = np.empty(z.shape, complex)
-    bnd = np.empty(z.shape)
-    for i, zi in enumerate(z.tolist()):
-        try:
-            ai[i], aip[i], bnd[i] = _ai_pair(zi)
-        except OverflowDomain:
-            ai[i], aip[i], bnd[i] = math.inf, 0.0, 0.0
-    return ai, aip, bnd
+    return _ai_kernel(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +140,8 @@ class _Table:
 #: cap on the nodes held by all cached tables together (40 bytes each)
 _TABLE_NODES = 1 << 14
 _TABLES: "OrderedDict[tuple, _Table]" = OrderedDict()
+#: the nodes held by _TABLES, kept on insert and eviction
+_TABLES_HELD = 0
 _TABLES_LOCK = threading.Lock()
 
 
@@ -155,6 +151,7 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
     A new table copies every node it shares with a cached table of the same
     origin whose step differs by a power of two, and evaluates the rest.
     """
+    global _TABLES_HELD
     with _TABLES_LOCK:
         key = (origin, h, half_width)
         tab = _TABLES.get(key)
@@ -185,9 +182,9 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
             ai[todo], aip[todo], bnd[todo] = _airy_nodes(origin + 1j * h * k[todo])
         tab = _Table(origin, h, m, ai, aip, bnd)
         _TABLES[key] = tab
-        held = sum(t.ai.size for t in _TABLES.values())
-        while held > _TABLE_NODES and len(_TABLES) > 1:
-            held -= _TABLES.popitem(last=False)[1].ai.size
+        _TABLES_HELD += k.size
+        while _TABLES_HELD > _TABLE_NODES and len(_TABLES) > 1:
+            _TABLES_HELD -= _TABLES.popitem(last=False)[1].ai.size
         return tab
 
 

@@ -316,6 +316,7 @@ def test_sigma0_table_is_shared(monkeypatch):
         return evaluate(z)
 
     monkeypatch.setattr(moments, "_TABLES", OrderedDict())
+    monkeypatch.setattr(moments, "_TABLES_HELD", 0)
     monkeypatch.setattr(moments, "_airy_nodes", counted)
     moments._moment_integral.cache_clear()
     moments._mean_max_integral.cache_clear()
@@ -335,6 +336,7 @@ def test_node_tables_shared_between_threads(monkeypatch):
     want = [char_fn(t) for t in ts]
     # a cap below one cf's tables makes every insertion evict
     monkeypatch.setattr(moments, "_TABLES", OrderedDict())
+    monkeypatch.setattr(moments, "_TABLES_HELD", 0)
     monkeypatch.setattr(moments, "_TABLE_NODES", 400)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -344,6 +346,17 @@ def test_node_tables_shared_between_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == want * 2
+
+
+def test_node_count_follows_inserts_and_evictions(monkeypatch):
+    monkeypatch.setattr(moments, "_TABLES", OrderedDict())
+    monkeypatch.setattr(moments, "_TABLES_HELD", 0)
+    monkeypatch.setattr(moments, "_TABLE_NODES", 1000)
+    for t in (0.5, 2.5, 4.0):
+        char_fn(t)
+        held = sum(tab.ai.size for tab in moments._TABLES.values())
+        assert moments._TABLES_HELD == held
+        assert held <= 1000 or len(moments._TABLES) == 1
 
 
 def test_quad_result_fields():
