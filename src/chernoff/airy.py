@@ -31,8 +31,9 @@ of -1/zeta by repeated squaring, with no loop over terms:
 
 Nothing is decided per block, and zero terms beyond a point's truncation
 index change none of its sums, so every point's bits are those of its
-length-1 evaluation: tables that copy nodes from earlier tables do not
-depend on history.
+length-1 evaluation, and a point below the real axis is its mirror
+image's conjugate: tables gathered from a store of earlier nodes, read
+as conjugates below the axis, do not depend on history.
 """
 from __future__ import annotations
 
@@ -294,9 +295,14 @@ def _ai_kernel(z: np.ndarray):
 
     Where Ai overflows it is returned as inf, with Ai' and the bound 0, so
     every quantity that divides by Ai vanishes there exactly.  Each
-    point's result depends on that point alone.
+    point's result depends on that point alone.  A point whose Im z has
+    its sign bit set is evaluated at its mirror image and conjugated, so
+    the results at conj z are the conjugates of those at z bit for bit,
+    signed zeros included, and the bounds are equal.
     """
     z = np.ascontiguousarray(z, dtype=complex).ravel()
+    low = np.signbit(z.imag)
+    z = np.where(low, z.conj(), z)
     ai = np.empty(z.size, complex)
     aip = np.empty(z.size, complex)
     bnd = np.empty(z.size)
@@ -304,6 +310,8 @@ def _ai_kernel(z: np.ndarray):
         for lo in range(0, z.size, _BLOCK):
             hi = lo + _BLOCK
             ai[lo:hi], aip[lo:hi], bnd[lo:hi] = _block(z[lo:hi])
+    np.conjugate(ai, out=ai, where=low)
+    np.conjugate(aip, out=aip, where=low)
     return ai, aip, bnd
 
 

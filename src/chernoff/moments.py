@@ -6,11 +6,15 @@ lines z = sigma + i y right of all Airy zeros.  F is analytic in the strip
 trapezoidal rule converges geometrically in 1/h (Trefethen & Weideman,
 "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
 
-Ai, Ai' and their error bounds are tabulated once per line at the nodes
-z = c + i k h, |k h| <= 2Y, and cached: all moments, E M, the identity
-suite and the density read one sigma = 0 table, and the cf and mgf add
-one line for the shifted factor Ai(z + t).  h starts at the strip
-half-width and is halved, reusing the coarser nodes, until the error meets
+Ai, Ai' and their error bounds are cached per line Re z = x, by |Im z|:
+a table at the nodes z = c + i k h, |k h| <= 2Y, is gathered from its
+line's store, reading nodes below the real axis as conjugates, and only
+ordinates the store lacks are evaluated.  All moments, E M, the identity
+suite, the density and the cf read the sigma = 0 line (the cf's shifted
+factor Ai(z + i t) lies on it too), and the mgf adds the line through
+sigma + t.  h starts at the largest power of two at or below the strip
+half-width, so dyadic steps and quarter-integer shifts land on shared
+ordinates, and is halved, reusing the coarser nodes, until the error meets
 rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at the truncation
 height and doubles until the octave Y < |y| <= 2Y bounds what lies
 beyond 2Y.  The error adds |T_h - T_2h| (T_2h from the even nodes of the
@@ -34,7 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -137,55 +141,68 @@ class _Table:
         return inv, rel
 
 
-#: cap on the nodes held by all cached tables together (40 bytes each)
+class _Line(NamedTuple):
+    """Ai, Ai' and their bound at z = x + i y on one line Re z = x, for the
+    sorted ordinates y >= 0 evaluated there so far."""
+
+    y: np.ndarray
+    ai: np.ndarray
+    aip: np.ndarray
+    bnd: np.ndarray
+
+
+#: cap on the nodes held by all cached lines together (40 bytes each)
 _TABLE_NODES = 1 << 14
-_TABLES: "OrderedDict[tuple, _Table]" = OrderedDict()
-#: the nodes held by _TABLES, kept on insert and eviction
-_TABLES_HELD = 0
-_TABLES_LOCK = threading.Lock()
+_LINES: "OrderedDict[float, _Line]" = OrderedDict()
+#: the nodes held by _LINES, kept on insert and eviction
+_LINES_HELD = 0
+_LINES_LOCK = threading.Lock()
 
 
 def _node_table(origin: complex, h: float, half_width: float) -> _Table:
-    """The table on |k h| <= half_width, least recently used first out.
+    """The table on |k h| <= half_width, gathered from the store of its line.
 
-    A new table copies every node it shares with a cached table of the same
-    origin whose step differs by a power of two, and evaluates the rest.
+    Each line Re z = x keeps every node evaluated on it, by |Im z|; a node
+    below the real axis is read as the conjugate of its mirror image, which
+    is what `_ai_kernel` returns there, bit for bit.  Only the ordinates the
+    store lacks are evaluated, in one kernel call, and merged in.  Lines
+    leave least recently used first once all together hold more than
+    _TABLE_NODES nodes; the line being read stays.
     """
-    global _TABLES_HELD
-    with _TABLES_LOCK:
-        key = (origin, h, half_width)
-        tab = _TABLES.get(key)
-        if tab is not None:
-            _TABLES.move_to_end(key)
-            return tab
-        m = math.floor(half_width / h)
-        k = np.arange(-m, m + 1)
-        ai = np.empty(k.size, complex)
-        aip = np.empty(k.size, complex)
-        bnd = np.full(k.size, np.nan)
-        for old in _TABLES.values():
-            if old.origin != origin:
-                continue
-            e = round(math.log2(h / old.h))
-            if h != math.ldexp(old.h, e):
-                continue
-            if e >= 0:
-                idx = (k << e) + old.m
-                ok = np.ones(k.size, dtype=bool)
-            else:
-                idx = (k >> -e) + old.m
-                ok = k % (1 << -e) == 0
-            ok &= (idx >= 0) & (idx <= 2 * old.m)
-            ai[ok], aip[ok], bnd[ok] = old.ai[idx[ok]], old.aip[idx[ok]], old.bnd[idx[ok]]
-        todo = np.isnan(bnd)
-        if todo.any():
-            ai[todo], aip[todo], bnd[todo] = _airy_nodes(origin + 1j * h * k[todo])
-        tab = _Table(origin, h, m, ai, aip, bnd)
-        _TABLES[key] = tab
-        _TABLES_HELD += k.size
-        while _TABLES_HELD > _TABLE_NODES and len(_TABLES) > 1:
-            _TABLES_HELD -= _TABLES.popitem(last=False)[1].ai.size
-        return tab
+    global _LINES_HELD
+    x = origin.real + 0.0           # one key for the line through -0.0 and 0.0
+    m = math.floor(half_width / h)
+    y = origin.imag + h * np.arange(-m, m + 1)
+    ay = np.abs(y)
+    with _LINES_LOCK:
+        line = _LINES.get(x)
+        if line is None:
+            line = _Line(np.empty(0), np.empty(0, complex), np.empty(0, complex), np.empty(0))
+        pos = np.searchsorted(line.y, ay)
+        new = ay[line.y.take(pos, mode="clip") != ay] if line.y.size else ay
+        if new.size:
+            new = np.sort(new)
+            # not np.unique: its first call imports numpy.ma, about 20 ms
+            new = new[np.diff(new, prepend=-1.0) > 0.0]
+            at = np.searchsorted(line.y, new)
+            line = _Line(*(np.insert(old, at, val) for old, val in
+                           zip(line, (new, *_airy_nodes(x + 1j * new)))))
+            _LINES_HELD += new.size
+            pos = np.searchsorted(line.y, ay)
+        _LINES[x] = line
+        _LINES.move_to_end(x)
+        while _LINES_HELD > _TABLE_NODES and len(_LINES) > 1:
+            _LINES_HELD -= _LINES.popitem(last=False)[1].y.size
+        ai, aip, bnd = line.ai[pos], line.aip[pos], line.bnd[pos]
+    low = np.signbit(y)
+    np.conjugate(ai, out=ai, where=low)
+    np.conjugate(aip, out=aip, where=low)
+    return _Table(origin, h, m, ai, aip, bnd)
+
+
+def _dyadic_floor(w: float) -> float:
+    """The largest power of two at or below w > 0."""
+    return math.ldexp(1.0, math.frexp(w)[1] - 1)
 
 
 def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
@@ -249,7 +266,7 @@ def _trapezoid(sums, lines: int, h: float, spec: ContourSpec, tol_of):
 def _line_integral(integrand, origins: tuple, spec: ContourSpec):
     """int F dy with F = integrand(*tables), one table per line
     Re z = Re c through each origin c; returns (value, err, nodes)."""
-    h0 = min(c.real for c in origins) - _first_zero()
+    h0 = _dyadic_floor(min(c.real for c in origins) - _first_zero())
 
     def sums(h, y):
         f, e = integrand(*(_node_table(c, h, 2.0 * y) for c in origins))
@@ -350,13 +367,17 @@ def moment_by_parts(j: int, k: int,
     sign = -1.0 if j % 2 else 1.0
 
     def f(tab: _Table):
+        # each piece is c z^jj (Ai'/Ai)^kk / Ai^(ell - kk): Ai'/Ai stays
+        # moderate where Ai' ** kk would overflow, and 1/Ai = 0 where Ai
+        # overflowed zeroes the piece
         inv, rel = tab.reciprocal()
         z, aip = tab.z, tab.aip
+        ratio = aip * inv
         rel_p = tab.bnd / np.maximum(np.abs(aip), 1e-300)
         val = np.zeros(z.shape, complex)
         err = np.zeros(z.shape)
         for jj, kk, ell, c in terms:
-            piece = c * z ** jj * aip ** kk * inv ** ell
+            piece = c * z ** jj * ratio ** kk * inv ** (ell - kk)
             val += piece
             err += np.abs(piece) * (kk * rel_p + ell * rel)
         return sign * val, err
@@ -461,8 +482,9 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
 
     At canonical scale f(u) = g(u) g(-u) / 2 with
     g(u) = (1/2 pi) int e^{-i t u} hat g(t) dt and hat g(t) = sqrt(2)/Ai(i t),
-    read from the sigma = 0 table; then the length-scale change to gamma.
-    A trapezoidal sum in t is 2 pi/h-periodic in u, so h starts where
+    read from the sigma = 0 line; then the length-scale change to gamma.
+    A trapezoidal sum in t is 2 pi/h-periodic in u, so h starts at the
+    largest power of two at or below the strip half-width -a_1 with
     pi/h >= 2 max|u|: the images of g that T_2h adds then sit at |u| >= max|u|.
     Raises NoConvergence when tol cannot be met within the node budget.
     """
@@ -477,7 +499,7 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     if not np.all(np.isfinite(u)):
         raise ValueError("xs must be finite")
     u_max = float(np.max(np.abs(u), initial=0.0))
-    h = -_first_zero()
+    h = _dyadic_floor(-_first_zero())
     while 2.0 * h * u_max > math.pi:
         h *= 0.5
 

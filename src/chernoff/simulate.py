@@ -243,13 +243,23 @@ def discretization_probe(cfg: SimConfig) -> tuple[SampleSet, SampleSet]:
     return fine, coarse
 
 
+#: rows formatted per call of the CSV writer
+_CSV_ROWS = 4096
+
+
 def save_sample_set(s: SampleSet, csv_path: Union[str, Path]) -> None:
-    """CSV with header v,m,w_at_argmax plus a .json sidecar with the config."""
+    """CSV with header v,m,w_at_argmax plus a .json sidecar with the config.
+
+    Each value is written as %.17g, which round-trips every double; a block
+    of rows is formatted by one string operation.
+    """
     csv_path = Path(csv_path)
+    rows = np.column_stack([s.v, s.m, s.w_at_argmax])
     with csv_path.open("w") as fh:
         fh.write("v,m,w_at_argmax\n")
-        for i in range(s.num_paths):
-            fh.write(f"{s.v[i]:.17g},{s.m[i]:.17g},{s.w_at_argmax[i]:.17g}\n")
+        for lo in range(0, s.num_paths, _CSV_ROWS):
+            block = rows[lo:lo + _CSV_ROWS]
+            fh.write("%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
     sidecar = csv_path.with_suffix(csv_path.suffix + ".json")
     with sidecar.open("w") as fh:
         json.dump(dataclasses.asdict(s.config), fh, indent=2)

@@ -307,6 +307,18 @@ def test_batch_results_match_single_points(zs):
         assert _bits(*one) == _bits(ai[i:i + 1], aip[i:i + 1], bnd[i:i + 1]), z
 
 
+@given(st.lists(points, min_size=1, max_size=100))
+@settings(max_examples=40, deadline=None)
+def test_kernel_is_conjugate_symmetric(zs):
+    # the contour's node store reads every node below the real axis as the
+    # conjugate of its mirror image; that is exact only because of this
+    z = np.array(EDGES + zs, dtype=complex)
+    z = np.concatenate([z, z.conj()])
+    ai, aip, bnd = airy._ai_kernel(z)
+    mai, maip, mbnd = airy._ai_kernel(z.conj())
+    assert _bits(mai, maip, mbnd) == _bits(ai.conj(), aip.conj(), bnd)
+
+
 def test_overflow_marker_in_batch():
     zs = np.array([1.0 + 2.0j, 140j, -3.0, 20j])
     ai, aip, bnd = airy._ai_kernel(zs)

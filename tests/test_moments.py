@@ -14,6 +14,7 @@ are checked on TAIL_CONTOUR instead.
 
 import math
 import sys
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chernoff import moments
+from chernoff import airy, moments
 from chernoff import (
     CANONICAL_GAMMA,
     ContourSpec,
@@ -178,6 +179,18 @@ def test_by_parts_splits():
         assert abs(moment_by_parts(4 - j, j) - m4) <= 1e-6, j
 
 
+def test_by_parts_high_order_is_typed():
+    # Ai'^7 overflowed at far nodes: "integrand not finite" and a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            v = moment_by_parts(7, 7)
+        except NoConvergence as exc:
+            assert "Airy bounds and rounding exceed the tolerance" in str(exc)
+        else:
+            assert abs(v - ORACLE_EV[14]) <= default_contour().rel_tol * ORACLE_EV[14]
+
+
 # ---------------------------------------------------------------- mean max
 
 
@@ -307,56 +320,132 @@ def test_no_convergence_on_tiny_budget():
         contour_integral_inv_ai2(RationalPoly({0: Fraction(1)}), spec)
 
 
-def test_sigma0_table_is_shared(monkeypatch):
+def _empty_store(monkeypatch, cap=None):
+    monkeypatch.setattr(moments, "_LINES", OrderedDict())
+    monkeypatch.setattr(moments, "_LINES_HELD", 0)
+    if cap is not None:
+        monkeypatch.setattr(moments, "_TABLE_NODES", cap)
+
+
+def _count_airy_points(monkeypatch):
+    """Record every array of nodes handed to the Airy kernel."""
     calls = []
     evaluate = moments._airy_nodes
 
     def counted(z):
-        calls.append(z.size)
+        calls.append(z.copy())
         return evaluate(z)
 
-    monkeypatch.setattr(moments, "_TABLES", OrderedDict())
-    monkeypatch.setattr(moments, "_TABLES_HELD", 0)
     monkeypatch.setattr(moments, "_airy_nodes", counted)
+    return calls
+
+
+def test_sigma0_table_is_shared(monkeypatch):
+    _empty_store(monkeypatch)
+    calls = _count_airy_points(monkeypatch)
     moments._moment_integral.cache_clear()
     moments._mean_max_integral.cache_clear()
     moment_quad(2)
-    first = sum(calls)
-    assert first > 0
+    assert sum(z.size for z in calls) > 0
     for n in range(13):
         moment_quad(n)
+    refined = sum(z.size for z in calls)
     mean_max_quad()
     for x in np.linspace(-3.0, 3.0, 25):
         density(float(x))
-    assert sum(calls) == first
+    assert sum(z.size for z in calls) == refined
+    # each node was evaluated once, all on one line: E V^8..12 refine it to
+    # h = 1/8 on |y| <= 2Y = 24, and nothing else adds a node
+    assert list(moments._LINES) == [0.0]
+    assert refined == 193
+    assert np.array_equal(moments._LINES[0.0].y, np.arange(193) / 8.0)
+
+
+def test_cf_reads_the_sigma0_line(monkeypatch):
+    # after E V^12 the sigma = 0 line holds every multiple of 1/8 up to its
+    # reach; a cf at a quarter-integer t adds only the nodes beyond it
+    _empty_store(monkeypatch)
+    calls = _count_airy_points(monkeypatch)
+    moments._moment_integral.cache_clear()
+    moment_quad(12)
+    for t in np.arange(0.25, 7.0 + 1e-9, 0.25):
+        reach = moments._LINES[0.0].y.max()
+        calls.clear()
+        char_fn_quad(float(t))
+        assert list(moments._LINES) == [0.0]
+        z = np.concatenate(calls)
+        assert z.size <= 2 and np.all(np.abs(z.imag) > reach), t
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).view(np.uint8).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("origin, h, half_width", [
+    (0j, 0.25, 24.0), (0j, 0.125, 24.0), (2.5j, 0.125, 24.0), (-7.25j, 1.0, 48.0),
+    (1j / 3.0, 0.0625, 12.0), (0.1j, 0.3, 10.0), (0.5 + 0j, 0.5, 24.0),
+    (-1.3 + 2.0j, 0.25, 24.0), (3.0 - 1.5j, 0.125, 6.0), (0j, 1.0, 600.0)])
+def test_table_bits_equal_direct_kernel(monkeypatch, origin, h, half_width):
+    # the store is filled by other tables first, so the table mixes nodes read
+    # from it, mirrored across the real axis and evaluated fresh
+    _empty_store(monkeypatch)
+    for c, step in ((origin.real + 0j, 0.5), (origin.real + 2j, 0.25), (origin, 2.0 * h)):
+        moments._node_table(c, step, 24.0)
+    tab = moments._node_table(origin, h, half_width)
+    direct = airy._ai_kernel(tab.z)
+    assert _bits(tab.ai, tab.aip, tab.bnd) == _bits(*direct)
+    assert np.all(tab.z.real == origin.real)
+
+
+# mpmath (dps 40, tanh-sinh on z = i y, y in [-40, 40]) at the double t
+ORACLE_CF_OFF_GRID = {
+    1.0 / 3.0: 0.977010732087816297175677136885,
+    0.1: 0.997910194457269337646442678028,
+    math.sqrt(2.0): 0.654884012063300233728507930413,
+}
+
+
+@pytest.mark.parametrize("t", sorted(ORACLE_CF_OFF_GRID))
+def test_char_fn_off_the_dyadic_grid(t):
+    q = char_fn_quad(t)
+    assert abs(q.value - ORACLE_CF_OFF_GRID[t]) <= q.err_estimate <= 1e-10
+
+
+def _mixed_requests():
+    # the cf reads the sigma = 0 line; each mgf adds the line Re z = sigma + t
+    return [(char_fn, 0.5), (mgf, 0.75), (char_fn, 2.5), (mgf, -1.5), (mgf, 1.5)]
 
 
 def test_node_tables_shared_between_threads(monkeypatch):
-    ts = [0.5, 1.5, 2.5, 3.5]
-    want = [char_fn(t) for t in ts]
-    # a cap below one cf's tables makes every insertion evict
-    monkeypatch.setattr(moments, "_TABLES", OrderedDict())
-    monkeypatch.setattr(moments, "_TABLES_HELD", 0)
-    monkeypatch.setattr(moments, "_TABLE_NODES", 400)
+    jobs = _mixed_requests()
+    want = [f(t) for f, t in jobs]
+    # a cap below one mgf's two lines makes every new line evict
+    _empty_store(monkeypatch, cap=150)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(char_fn, ts * 2, timeout=120))
+            got = list(pool.map(lambda job: job[0](job[1]), jobs * 2, timeout=120))
     finally:
         sys.setswitchinterval(interval)
     assert got == want * 2
+    held = sum(line.y.size for line in moments._LINES.values())
+    assert moments._LINES_HELD == held
+    assert held <= 150 or len(moments._LINES) == 1
 
 
 def test_node_count_follows_inserts_and_evictions(monkeypatch):
-    monkeypatch.setattr(moments, "_TABLES", OrderedDict())
-    monkeypatch.setattr(moments, "_TABLES_HELD", 0)
-    monkeypatch.setattr(moments, "_TABLE_NODES", 1000)
-    for t in (0.5, 2.5, 4.0):
-        char_fn(t)
-        held = sum(tab.ai.size for tab in moments._TABLES.values())
-        assert moments._TABLES_HELD == held
-        assert held <= 1000 or len(moments._TABLES) == 1
+    _empty_store(monkeypatch, cap=400)
+    lines = set()
+    for f, t in _mixed_requests():
+        f(t)
+        lines |= set(moments._LINES)
+        held = sum(line.y.size for line in moments._LINES.values())
+        assert moments._LINES_HELD == held
+        assert held <= 400 or len(moments._LINES) == 1
+        for line in moments._LINES.values():
+            assert np.all(np.diff(line.y) > 0.0) and line.y[0] >= 0.0
+    assert len(lines) > len(moments._LINES)     # some line was evicted
 
 
 def test_quad_result_fields():

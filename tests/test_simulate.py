@@ -281,6 +281,32 @@ def test_csv_round_trip(tmp_path, small_set):
     assert header == "v,m,w_at_argmax"
 
 
+# the bytes a row-by-row f"{x:.17g}" writer produced for these values
+FROZEN_CSV = (
+    "v,m,w_at_argmax\n"
+    "-1.5,2.2250738585072014e-308,-123456789\n"
+    "4.9406564584124654e-324,-1.0000000000000001e+300,9007199254740992\n"
+    "1.7976931348623157e+308,42,-2.5000000000000171e-310\n"
+    "3,-7,0\n"
+    "-0,0.33333333333333331,-1.0000000000000001e-05\n"
+    "0.10000000000000001,10000000000000000,6.0221407599999999e+23\n"
+)
+
+
+def test_csv_bytes_frozen(tmp_path, monkeypatch):
+    v = np.array([-1.5, 5e-324, 1.7976931348623157e308, 3.0, -0.0, 0.1])
+    m = np.array([2.2250738585072014e-308, -1e300, 42.0, -7.0, 1 / 3, 1e16])
+    w = np.array([-123456789.0, 2.0 ** 53, -2.5e-310, 0.0, -1e-5, 6.02214076e23])
+    s = SampleSet(v=v, m=m, w_at_argmax=w, config=SMALL)
+    path = tmp_path / "frozen.csv"
+    save_sample_set(s, path)
+    assert path.read_bytes() == FROZEN_CSV.encode()
+    # rows split across formatting blocks give the same bytes
+    monkeypatch.setattr(sim_module, "_CSV_ROWS", 4)
+    save_sample_set(s, path)
+    assert path.read_bytes() == FROZEN_CSV.encode()
+
+
 # ---------------------------------------------------------------- warnings, config
 
 
