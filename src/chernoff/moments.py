@@ -151,7 +151,7 @@ class _Line(NamedTuple):
     bnd: np.ndarray
 
 
-#: cap on the nodes held by all cached lines together (40 bytes each)
+#: cap on the nodes held by all cached lines together (48 bytes each)
 _TABLE_NODES = 1 << 14
 _LINES: "OrderedDict[float, _Line]" = OrderedDict()
 #: the nodes held by _LINES, kept on insert and eviction
@@ -167,7 +167,8 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
     is what `_ai_kernel` returns there, bit for bit.  Only the ordinates the
     store lacks are evaluated, in one kernel call, and merged in.  Lines
     leave least recently used first once all together hold more than
-    _TABLE_NODES nodes; the line being read stays.
+    _TABLE_NODES nodes; the line being read stays, and a line that would
+    outgrow the cap keeps only the ordinates of the table being read.
     """
     global _LINES_HELD
     x = origin.real + 0.0           # one key for the line through -0.0 and 0.0
@@ -179,11 +180,19 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
         if line is None:
             line = _Line(np.empty(0), np.empty(0, complex), np.empty(0, complex), np.empty(0))
         pos = np.searchsorted(line.y, ay)
-        new = ay[line.y.take(pos, mode="clip") != ay] if line.y.size else ay
+        hit = line.y.take(pos, mode="clip") == ay if line.y.size else np.zeros(ay.size, bool)
+        new = ay[~hit]
         if new.size:
             new = np.sort(new)
             # not np.unique: its first call imports numpy.ma, about 20 ms
             new = new[np.diff(new, prepend=-1.0) > 0.0]
+            if line.y.size + new.size > _TABLE_NODES:
+                # the line keeps only this table's ordinates, so it never
+                # holds more than the cap or one table
+                keep = np.zeros(line.y.size, bool)
+                keep[pos[hit]] = True
+                _LINES_HELD -= line.y.size - np.count_nonzero(keep)
+                line = _Line(*(a[keep] for a in line))
             at = np.searchsorted(line.y, new)
             line = _Line(*(np.insert(old, at, val) for old, val in
                            zip(line, (new, *_airy_nodes(x + 1j * new)))))

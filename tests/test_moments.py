@@ -448,6 +448,30 @@ def test_node_count_follows_inserts_and_evictions(monkeypatch):
     assert len(lines) > len(moments._LINES)     # some line was evicted
 
 
+def test_one_line_stays_under_the_cap(monkeypatch):
+    # a cf at t off the dyadic grid adds new ordinates to the sigma = 0 line
+    # on every request; past the cap the line keeps only the table being read
+    ts = [0.1 + 0.13 * k for k in range(40)]
+    want = [char_fn(t) for t in ts]
+    _empty_store(monkeypatch, cap=1000)
+    got = []
+    for t in ts:
+        got.append(char_fn(t))
+        assert list(moments._LINES) == [0.0]
+        assert moments._LINES_HELD == moments._LINES[0.0].y.size <= 1000
+    assert got == want
+
+
+def test_line_larger_than_the_cap_holds_one_table(monkeypatch):
+    _empty_store(monkeypatch, cap=100)
+    for tau in (0.3, 0.7, 1.1):
+        tab = moments._node_table(1j * tau, 0.125, 24.0)
+        line = moments._LINES[0.0]
+        assert moments._LINES_HELD == line.y.size
+        assert np.array_equal(line.y, np.unique(np.abs(tab.z.imag)))
+        assert _bits(tab.ai, tab.aip, tab.bnd) == _bits(*airy._ai_kernel(tab.z))
+
+
 def test_quad_result_fields():
     q = contour_integral_inv_ai2(RationalPoly({0: Fraction(1)}))
     assert isinstance(q.value, float)
