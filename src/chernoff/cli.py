@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from . import algebra, moments
-from .airy import airy_zero
 from .simulate import SimConfig, estimate, save_sample_set
 from .simulate import simulate as run_paths
 from .errors import (AccuracyUnreachable, ContourTooLeft, NoConvergence,
@@ -50,10 +49,6 @@ def _contour_from_env(sigma: float = 0.0) -> moments.ContourSpec:
     return moments.ContourSpec(sigma=sigma, rel_tol=rel)
 
 
-def _contour_dict(spec: moments.ContourSpec) -> dict:
-    return dataclasses.asdict(spec)
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -68,7 +63,7 @@ def _scalar_output(args, quantity: str, value: float, err: float,
                    spec: moments.ContourSpec, plain: str, **extra) -> None:
     if args.format == "json":
         doc = {"quantity": quantity, **extra, "value": value,
-               "err_estimate": err, "contour": _contour_dict(spec)}
+               "err_estimate": err, "contour": dataclasses.asdict(spec)}
         _emit(json.dumps(doc), args.out)
     elif args.format == "csv":
         keys = list(extra)
@@ -125,10 +120,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moment(args) -> int:
-    if args.n < 0:
-        raise _UsageError("--n must be >= 0")
-    if args.gamma <= 0:
-        raise _UsageError("--gamma must be positive")
     spec = _contour_from_env()
     qr = moments.moment_quad(args.n, args.gamma, spec)
     _scalar_output(args, "moment", qr.value, qr.err_estimate, spec,
@@ -139,8 +130,6 @@ def cmd_moment(args) -> int:
 
 
 def cmd_cf(args) -> int:
-    if args.gamma <= 0:
-        raise _UsageError("--gamma must be positive")
     spec = _contour_from_env()
     # V_gamma = s V, so the cf at gamma is the canonical cf at argument s t
     s = moments.length_scale(args.gamma)
@@ -155,15 +144,10 @@ def cmd_cf(args) -> int:
 
 
 def cmd_mgf(args) -> int:
-    if args.gamma <= 0:
-        raise _UsageError("--gamma must be positive")
     t = complex(args.t_re, args.t_im)
     s = moments.length_scale(args.gamma)
-    if args.sigma is None:
-        sigma = max(0.0, airy_zero(1) + 1.0 - (s * t).real)
-    else:
-        sigma = args.sigma
-    spec = dataclasses.replace(_contour_from_env(), sigma=sigma)
+    sigma = moments.default_mgf_sigma(s * t) if args.sigma is None else args.sigma
+    spec = _contour_from_env(sigma)
     qr = moments.mgf_quad(s * t, sigma=sigma, contour=spec)
     val = qr.value
     doc_extra = {"t_re": args.t_re, "t_im": args.t_im, "gamma": args.gamma,
@@ -176,12 +160,16 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.gamma <= 0:
-        raise _UsageError("--gamma must be positive")
+    if not all(map(math.isfinite, (args.x_from, args.x_to, args.step))):
+        raise _UsageError("--from, --to and --step must be finite")
     if args.step <= 0 or args.x_to < args.x_from:
         raise _UsageError("need --from <= --to and --step > 0")
-    n = int(math.floor((args.x_to - args.x_from) / args.step + 1e-9)) + 1
-    xs = args.x_from + args.step * np.arange(n)
+    steps = (args.x_to - args.x_from) / args.step + 1e-9
+    try:
+        n = int(math.floor(steps)) + 1
+        xs = args.x_from + args.step * np.arange(n)
+    except (OverflowError, MemoryError, ValueError):
+        raise _UsageError(f"a grid of {steps + 1:.4g} rows cannot be allocated")
     fs = moments.density_grid(xs, args.gamma, args.tol)
     if args.format == "json":
         doc = {"quantity": "density", "gamma": args.gamma, "tol": args.tol,
@@ -195,8 +183,6 @@ def cmd_density(args) -> int:
 
 
 def cmd_mean_max(args) -> int:
-    if args.gamma <= 0:
-        raise _UsageError("--gamma must be positive")
     spec = _contour_from_env()
     qr = moments.mean_max_quad(args.gamma, spec)
     _scalar_output(args, "mean_max", qr.value, qr.err_estimate, spec,

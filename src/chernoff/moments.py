@@ -10,11 +10,12 @@ Ai, Ai' and their error bounds are cached per line Re z = x, by |Im z|:
 a table at the nodes z = c + i k h, |k h| <= 2Y, is gathered from its
 line's store, reading nodes below the real axis as conjugates, and only
 ordinates the store lacks are evaluated.  All moments, E M, the identity
-suite, the density and the cf read the sigma = 0 line (the cf's shifted
-factor Ai(z + i t) lies on it too), and the mgf adds the line through
-sigma + t.  h starts at the largest power of two at or below the strip
-half-width, so dyadic steps and quarter-integer shifts land on shared
-ordinates, and is halved, reusing the coarser nodes, until the error meets
+suite, the density and the cf read the sigma = 0 line, and the mgf adds
+the line through sigma + t.  The cf is the mgf at i t on the caller's
+contour, so its shifted factor Ai(z + i t) lies on that same line.  h
+starts at the largest power of two at or below the strip half-width, so
+dyadic steps and quarter-integer shifts land on shared ordinates, and is
+halved, reusing the coarser nodes, until the error meets
 rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at the truncation
 height and doubles until the octave Y < |y| <= 2Y bounds what lies
 beyond 2Y.  The error adds |T_h - T_2h| (T_2h from the even nodes of the
@@ -28,11 +29,15 @@ The moment formula at the canonical gamma = 1/sqrt(2) (so 2 gamma^2 = 1):
 
 and general gamma rescales by 2^{-n/3} gamma^{-2n/3}.  The expected maximum
 uses the integrand z / Ai(z)^2 with prefactor -2^{-2/3} gamma^{-1/3}, and
-E V_gamma^2 = E M_gamma / (3 gamma) ties the two together.
+E V_gamma^2 = E M_gamma / (3 gamma) ties the two together.  One cache,
+keyed by the polynomial's float coefficients and the contour, holds every
+integral of p(z) / Ai(z)^2.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -53,6 +58,8 @@ _SQRT2 = math.sqrt(2.0)
 
 #: gamma with 2 gamma^2 = 1; all transform formulas are stated at this scale
 CANONICAL_GAMMA = 1.0 / _SQRT2
+#: the polynomial z of the expected maximum's integrand
+_Z = RationalPoly({1: Fraction(1)})
 
 _MAX_HALF_WIDTH = 1536.0
 
@@ -60,6 +67,11 @@ _MAX_HALF_WIDTH = 1536.0
 @lru_cache(maxsize=1)
 def _first_zero() -> float:
     return airy_zero(1)
+
+
+def _is_real(v) -> bool:
+    """True for a finite int or float that is not a bool."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -74,15 +86,16 @@ class ContourSpec:
     max_panels: int = 4000
 
     def __post_init__(self):
-        if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma)):
+        if not _is_real(self.sigma):
             raise ValueError("sigma must be a finite real")
         if self.sigma <= _first_zero():
             raise ContourTooLeft(
                 f"sigma = {self.sigma} is not to the right of the first Airy "
                 f"zero a_1 = {_first_zero():.6f}")
-        if not (0.5 <= self.truncation_height <= _MAX_HALF_WIDTH):
+        if not (_is_real(self.truncation_height)
+                and 0.5 <= self.truncation_height <= _MAX_HALF_WIDTH):
             raise ValueError("truncation_height out of range")
-        if not (0.0 < self.rel_tol < 1.0):
+        if not (_is_real(self.rel_tol) and 0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must be in (0, 1)")
         if not (isinstance(self.max_panels, int) and 8 <= self.max_panels <= 10**7):
             raise ValueError("max_panels must be an integer in [8, 1e7]")
@@ -100,17 +113,6 @@ class QuadResult:
     value: Union[float, complex]
     err_estimate: float
     panels_used: int
-
-
-def _airy_nodes(z: np.ndarray):
-    """Ai, Ai' and the tracked absolute bound at every point of z, in one
-    call of the array kernel.
-
-    Where Ai overflows it is stored as inf, with Ai' and the bound 0, so
-    every integrand (each divides by Ai) vanishes there exactly.  A node's
-    values do not depend on the other nodes evaluated with it.
-    """
-    return _ai_kernel(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +156,6 @@ class _Line(NamedTuple):
 #: cap on the nodes held by all cached lines together (48 bytes each)
 _TABLE_NODES = 1 << 14
 _LINES: "OrderedDict[float, _Line]" = OrderedDict()
-#: the nodes held by _LINES, kept on insert and eviction
-_LINES_HELD = 0
 _LINES_LOCK = threading.Lock()
 
 
@@ -165,12 +165,13 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
     Each line Re z = x keeps every node evaluated on it, by |Im z|; a node
     below the real axis is read as the conjugate of its mirror image, which
     is what `_ai_kernel` returns there, bit for bit.  Only the ordinates the
-    store lacks are evaluated, in one kernel call, and merged in.  Lines
+    store lacks are evaluated, in one kernel call, and merged in; where Ai
+    overflows the kernel stores inf, with Ai' and the bound 0, so every
+    integrand (each divides by Ai) vanishes there exactly.  Lines
     leave least recently used first once all together hold more than
     _TABLE_NODES nodes; the line being read stays, and a line that would
     outgrow the cap keeps only the ordinates of the table being read.
     """
-    global _LINES_HELD
     x = origin.real + 0.0           # one key for the line through -0.0 and 0.0
     m = math.floor(half_width / h)
     y = origin.imag + h * np.arange(-m, m + 1)
@@ -191,17 +192,18 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
                 # holds more than the cap or one table
                 keep = np.zeros(line.y.size, bool)
                 keep[pos[hit]] = True
-                _LINES_HELD -= line.y.size - np.count_nonzero(keep)
                 line = _Line(*(a[keep] for a in line))
             at = np.searchsorted(line.y, new)
             line = _Line(*(np.insert(old, at, val) for old, val in
-                           zip(line, (new, *_airy_nodes(x + 1j * new)))))
-            _LINES_HELD += new.size
+                           zip(line, (new, *_ai_kernel(x + 1j * new)))))
             pos = np.searchsorted(line.y, ay)
         _LINES[x] = line
         _LINES.move_to_end(x)
-        while _LINES_HELD > _TABLE_NODES and len(_LINES) > 1:
-            _LINES_HELD -= _LINES.popitem(last=False)[1].y.size
+        # only an insert can take the store past the cap; a contour pass
+        # holds a handful of lines, so the sum is cheap
+        while new.size and len(_LINES) > 1 and (
+                sum(ln.y.size for ln in _LINES.values()) > _TABLE_NODES):
+            _LINES.popitem(last=False)
         ai, aip, bnd = line.ai[pos], line.aip[pos], line.bnd[pos]
     low = np.signbit(y)
     np.conjugate(ai, out=ai, where=low)
@@ -306,11 +308,17 @@ def contour_integral_inv_ai2(poly: RationalPoly,
     if not isinstance(poly, RationalPoly):
         raise TypeError("poly must be a RationalPoly")
     spec = contour if contour is not None else default_contour()
-    coeffs = poly.float_coeffs()[::-1]
+    return _inv_ai2_integral(tuple(poly.float_coeffs()), spec)
+
+
+@lru_cache(maxsize=256)
+def _inv_ai2_integral(coeffs: tuple, spec: ContourSpec) -> QuadResult:
+    """contour_integral_inv_ai2 for the ascending float coefficients."""
+    descending = coeffs[::-1]
 
     def f(tab: _Table):
         inv, rel = tab.reciprocal()
-        val = np.polyval(coeffs, tab.z) * inv * inv
+        val = np.polyval(descending, tab.z) * inv * inv
         return val, np.abs(val) * 2.0 * rel
 
     val, err, nodes = _line_integral(f, (complex(spec.sigma),), spec)
@@ -319,13 +327,15 @@ def contour_integral_inv_ai2(poly: RationalPoly,
                       panels_used=nodes)
 
 
+def _scaled(base: QuadResult, scale: float) -> QuadResult:
+    return QuadResult(value=scale * base.value, err_estimate=abs(scale) * base.err_estimate,
+                      panels_used=base.panels_used)
+
+
 def _validate_gamma(gamma: float) -> float:
-    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+    if not (_is_real(gamma) and gamma > 0.0):
         raise ValueError("gamma must be a positive real")
-    gamma = float(gamma)
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError("gamma must be a positive real")
-    return gamma
+    return float(gamma)
 
 
 def _validate_order(n: int) -> int:
@@ -334,22 +344,13 @@ def _validate_order(n: int) -> int:
     return n
 
 
-@lru_cache(maxsize=256)
-def _moment_integral(n: int, spec: ContourSpec) -> QuadResult:
-    return contour_integral_inv_ai2(algebra.moment_polynomial(n), spec)
-
-
 def moment_quad(n: int, gamma: float = CANONICAL_GAMMA,
                 contour: Optional[ContourSpec] = None) -> QuadResult:
     """E V_gamma^n with its quadrature error estimate."""
     n = _validate_order(n)
     gamma = _validate_gamma(gamma)
-    spec = contour if contour is not None else default_contour()
-    base = _moment_integral(n, spec)
-    scale = 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0)
-    return QuadResult(value=scale * base.value,
-                      err_estimate=abs(scale) * base.err_estimate,
-                      panels_used=base.panels_used)
+    base = contour_integral_inv_ai2(algebra.moment_polynomial(n), contour)
+    return _scaled(base, 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0))
 
 
 def moment(n: int, gamma: float = CANONICAL_GAMMA,
@@ -399,17 +400,8 @@ def mean_max_quad(gamma: float = CANONICAL_GAMMA,
                   contour: Optional[ContourSpec] = None) -> QuadResult:
     """E M_gamma = -2^{-2/3} gamma^{-1/3} (1/2 pi i) int z/Ai(z)^2 dz."""
     gamma = _validate_gamma(gamma)
-    spec = contour if contour is not None else default_contour()
-    base = _mean_max_integral(spec)
-    scale = -(2.0 ** (-2.0 / 3.0)) * gamma ** (-1.0 / 3.0)
-    return QuadResult(value=scale * base.value,
-                      err_estimate=abs(scale) * base.err_estimate,
-                      panels_used=base.panels_used)
-
-
-@lru_cache(maxsize=8)
-def _mean_max_integral(spec: ContourSpec) -> QuadResult:
-    return contour_integral_inv_ai2(RationalPoly({1: Fraction(1)}), spec)
+    base = contour_integral_inv_ai2(_Z, contour)
+    return _scaled(base, -(2.0 ** (-2.0 / 3.0)) * gamma ** (-1.0 / 3.0))
 
 
 def mean_max(gamma: float = CANONICAL_GAMMA,
@@ -418,16 +410,12 @@ def mean_max(gamma: float = CANONICAL_GAMMA,
 
 
 def char_fn_quad(t: float, contour: Optional[ContourSpec] = None) -> QuadResult:
-    """E exp(i t V) at canonical gamma, as a contour integral of
-    1/(Ai(z + it) Ai(z)); the imaginary part is an error diagnostic."""
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+    """E exp(i t V) at canonical gamma: the mgf at i t on the contour's own
+    line; the imaginary part is an error diagnostic."""
+    if not _is_real(t):
         raise ValueError("t must be a finite real")
     spec = contour if contour is not None else default_contour()
-    sigma = complex(spec.sigma)
-    val, err, nodes = _line_integral(_product_integrand,
-                                     (sigma, sigma + 1j * float(t)), spec)
-    return QuadResult(value=complex(val) / _TWO_PI, err_estimate=float(err) / _TWO_PI,
-                      panels_used=nodes)
+    return mgf_quad(1j * float(t), spec.sigma, spec)
 
 
 def char_fn(t: float, contour: Optional[ContourSpec] = None) -> complex:
@@ -438,27 +426,34 @@ def mgf_quad(t: complex, sigma: Optional[float] = None,
              contour: Optional[ContourSpec] = None) -> QuadResult:
     """E exp(t V) at canonical gamma for complex t.
 
-    Both Ai arguments must stay right of the zeros: sigma > a_1 and
+    The integrand is 1/(Ai(z) Ai(z + t)) on Re z = sigma.  Both Ai
+    arguments must stay right of the zeros: sigma > a_1 and
     sigma + Re t > a_1.  When sigma is omitted it defaults to
-    max(0, a_1 + 1 - Re t), which satisfies both with unit margin.
+    default_mgf_sigma(t).  Of the contour only the quadrature's knobs are
+    read, not its sigma.
     """
+    if isinstance(t, bool) or not isinstance(t, numbers.Number) or not cmath.isfinite(t):
+        raise ValueError("t must be a finite number")
     t = complex(t)
-    if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-        raise ValueError("t must be finite")
-    a1 = _first_zero()
-    if sigma is None:
-        sigma = max(0.0, a1 + 1.0 - t.real)
-    sigma = float(sigma)
+    sigma = default_mgf_sigma(t) if sigma is None else sigma
+    if not _is_real(sigma):
+        raise ValueError("sigma must be a finite real")
+    sigma, a1 = float(sigma), _first_zero()
     if sigma <= a1 or sigma + t.real <= a1:
         raise ContourTooLeft(
             f"need sigma > a_1 and sigma + Re t > a_1; got sigma = {sigma}, "
             f"Re t = {t.real}, a_1 = {a1:.6f}")
     spec = contour if contour is not None else default_contour()
-    spec = replace(spec, sigma=sigma)
     val, err, nodes = _line_integral(_product_integrand,
                                      (complex(sigma), sigma + t), spec)
     return QuadResult(value=complex(val) / _TWO_PI, err_estimate=float(err) / _TWO_PI,
                       panels_used=nodes)
+
+
+def default_mgf_sigma(t: complex) -> float:
+    """The default mgf contour max(0, a_1 + 1 - Re t): both Ai arguments
+    then stay right of the zeros with unit margin."""
+    return max(0.0, _first_zero() + 1.0 - t.real)
 
 
 def mgf(t: complex, sigma: Optional[float] = None,
@@ -480,7 +475,7 @@ _X_BLOCK = 128
 
 def density(x: float, gamma: float = CANONICAL_GAMMA, tol: float = 1e-8) -> float:
     """Density of V_gamma at x within absolute error tol (see density_grid)."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+    if not _is_real(x):
         raise ValueError("x must be a finite real")
     return float(density_grid(np.array([float(x)]), gamma, tol)[0])
 
@@ -584,8 +579,10 @@ def identity_suite(contour: Optional[ContourSpec] = None) -> list[IdentityCheck]
         inv = moment(2, g, spec) * 2.0 ** (2.0 / 3.0) * g ** (4.0 / 3.0)
         checks.append(IdentityCheck(f"scaling invariance n=2, gamma={g}",
                                     abs(inv - base) <= 1e-10, inv, base, 1e-10))
+    # the product integrand's contour invariance: the cf on the spec's line
+    # against the mgf at i on sigma = 0.5
     cf = char_fn(1.0, spec)
-    mg = mgf(complex(0.0, 1.0), contour=spec)
-    checks.append(IdentityCheck("char_fn(1) = mgf(i)",
+    mg = mgf(complex(0.0, 1.0), sigma=0.5, contour=spec)
+    checks.append(IdentityCheck("char_fn(1) = mgf(i) on sigma=0.5",
                                 abs(cf - mg) <= 1e-8, abs(cf), abs(mg), 1e-8))
     return checks

@@ -265,10 +265,17 @@ def test_density_json(capsys):
 
 
 def test_density_bad_range(capsys):
-    code, _, err = run(capsys, "density", "--from", "2", "--to", "-2",
-                       "--step", "0.5")
-    assert code == 2
-    assert "usage error" in err
+    # 1e12 rows would need 7.3 TiB: numpy refuses that allocation at once
+    for x_from, x_to, step, says in (
+            ("2", "-2", "0.5", "--from <= --to"),
+            ("0", "inf", "0.1", "finite"), ("-inf", "1", "0.1", "finite"),
+            ("0", "1", "inf", "finite"), ("nan", "1", "0.1", "finite"),
+            ("0", "1", "1e-12", "1e+12 rows"), ("0", "1", "1e-30", "1e+30 rows"),
+            ("-1e308", "1e308", "1", "inf rows")):
+        code, out, err = run(capsys, "density", f"--from={x_from}", f"--to={x_to}",
+                             f"--step={step}")
+        assert code == 2, (x_from, x_to, step)
+        assert out == "" and "usage error" in err and says in err, err
 
 
 # ---------------------------------------------------------------- simulate
@@ -347,6 +354,13 @@ def test_bad_flag_values(capsys):
     assert run(capsys, "moment", "--n", "2", "--gamma", "-1")[0] == 2
     assert run(capsys, "moment", "--n", "two")[0] == 2
     assert run(capsys, "cf", "--t", "nan")[0] == 2
+    # the library's own validation reports a bad gamma for every command
+    for argv in (("moment", "--n", "2"), ("cf", "--t", "1"), ("mgf", "--t-re", "1"),
+                 ("density", "--from", "0", "--to", "1", "--step", "0.5"), ("mean-max",)):
+        for gamma in ("0", "-1", "nan", "inf"):
+            code, out, err = run(capsys, *argv, "--gamma", gamma)
+            assert code == 2, (argv, gamma)
+            assert out == "" and "invalid arguments: gamma must be a positive real" in err
 
 
 def test_env_reltol_roundtrip(capsys, monkeypatch):
