@@ -148,7 +148,7 @@ def cmd_mgf(args) -> int:
     s = moments.length_scale(args.gamma)
     sigma = moments.default_mgf_sigma(s * t) if args.sigma is None else args.sigma
     spec = _contour_from_env(sigma)
-    qr = moments.mgf_quad(s * t, sigma=sigma, contour=spec)
+    qr = moments.mgf_quad(s * t, contour=spec)
     val = qr.value
     doc_extra = {"t_re": args.t_re, "t_im": args.t_im, "gamma": args.gamma,
                  "value_im": val.imag}

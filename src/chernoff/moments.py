@@ -12,9 +12,11 @@ line's store, reading nodes below the real axis as conjugates, and only
 ordinates the store lacks are evaluated.  All moments, E M, the identity
 suite, the density and the cf read the sigma = 0 line, and the mgf adds
 the line through sigma + t.  The cf is the mgf at i t on the caller's
-contour, so its shifted factor Ai(z + i t) lies on that same line.  h
-starts at the largest power of two at or below the strip half-width, so
-dyadic steps and quarter-integer shifts land on shared ordinates, and is
+contour, so its shifted factor Ai(z + i t) lies on that same line.  On a
+strip of half-width a the error of T_h falls like e^{-2 pi a/h}, so h
+starts at the largest power of two at or below min(a, 2 pi a / ln(1/tol)):
+no coarser step could pass the first check (see `_first_step`), and dyadic
+steps and quarter-integer shifts land on shared ordinates.  h is then
 halved, reusing the coarser nodes, until the error meets
 rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at the truncation
 height and doubles until the octave Y < |y| <= 2Y bounds what lies
@@ -31,7 +33,8 @@ and general gamma rescales by 2^{-n/3} gamma^{-2n/3}.  The expected maximum
 uses the integrand z / Ai(z)^2 with prefactor -2^{-2/3} gamma^{-1/3}, and
 E V_gamma^2 = E M_gamma / (3 gamma) ties the two together.  One cache,
 keyed by the polynomial's float coefficients and the contour, holds every
-integral of p(z) / Ai(z)^2.
+integral of p(z) / Ai(z)^2; the zero polynomial (every odd moment) gives
+0 without a table.
 """
 from __future__ import annotations
 
@@ -58,8 +61,8 @@ _SQRT2 = math.sqrt(2.0)
 
 #: gamma with 2 gamma^2 = 1; all transform formulas are stated at this scale
 CANONICAL_GAMMA = 1.0 / _SQRT2
-#: the polynomial z of the expected maximum's integrand
-_Z = RationalPoly({1: Fraction(1)})
+#: the float key of the polynomial z, the expected maximum's integrand
+_Z_COEFFS = (0.0, 1.0)
 
 _MAX_HALF_WIDTH = 1536.0
 
@@ -101,8 +104,15 @@ class ContourSpec:
             raise ValueError("max_panels must be an integer in [8, 1e7]")
 
 
+@lru_cache(maxsize=1)
 def default_contour() -> ContourSpec:
+    """The default contour, built on first use (it needs a_1) and shared:
+    a ContourSpec is frozen."""
     return ContourSpec()
+
+
+def _spec(contour: Optional[ContourSpec]) -> ContourSpec:
+    return contour if contour is not None else default_contour()
 
 
 @dataclass(frozen=True)
@@ -216,6 +226,20 @@ def _dyadic_floor(w: float) -> float:
     return math.ldexp(1.0, math.frexp(w)[1] - 1)
 
 
+def _first_step(a: float, tol: float) -> float:
+    """The first step on a strip of half-width a: the largest power of two
+    at or below min(a, 2 pi a / ln(1/tol)).
+
+    T_h errs by about M e^{-2 pi a/h} with M >= |int F|.  A coarser level
+    h' >= 2 h0 compares T_h' with T_2h', whose error M e^{-pi a/h'} is at
+    least M tol^{1/2}, so it could pass only with M far below the value.
+    One level finer leaves no margin: the first check then fails where
+    T_2h only just meets tol, and the rule stops a level too fine (cf(1)
+    at rel_tol 1e-13 on 770 nodes instead of 386).
+    """
+    return _dyadic_floor(min(a, _TWO_PI * a / -math.log(tol)))
+
+
 def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
     """Charge for |y| > 2Y from the octave Y < |y| <= 2Y of the magnitudes w.
 
@@ -277,7 +301,7 @@ def _trapezoid(sums, lines: int, h: float, spec: ContourSpec, tol_of):
 def _line_integral(integrand, origins: tuple, spec: ContourSpec):
     """int F dy with F = integrand(*tables), one table per line
     Re z = Re c through each origin c; returns (value, err, nodes)."""
-    h0 = _dyadic_floor(min(c.real for c in origins) - _first_zero())
+    h0 = _first_step(min(c.real for c in origins) - _first_zero(), spec.rel_tol)
 
     def sums(h, y):
         f, e = integrand(*(_node_table(c, h, 2.0 * y) for c in origins))
@@ -307,13 +331,20 @@ def contour_integral_inv_ai2(poly: RationalPoly,
     """
     if not isinstance(poly, RationalPoly):
         raise TypeError("poly must be a RationalPoly")
-    spec = contour if contour is not None else default_contour()
-    return _inv_ai2_integral(tuple(poly.float_coeffs()), spec)
+    return _inv_ai2_integral(tuple(poly.float_coeffs()), _spec(contour))
+
+
+@lru_cache(maxsize=128)
+def _moment_coeffs(n: int) -> tuple:
+    """The float key of p_n, built once per order."""
+    return tuple(algebra.moment_polynomial(n).float_coeffs())
 
 
 @lru_cache(maxsize=256)
 def _inv_ai2_integral(coeffs: tuple, spec: ContourSpec) -> QuadResult:
     """contour_integral_inv_ai2 for the ascending float coefficients."""
+    if not any(coeffs):
+        return QuadResult(value=0.0, err_estimate=0.0, panels_used=0)
     descending = coeffs[::-1]
 
     def f(tab: _Table):
@@ -349,7 +380,7 @@ def moment_quad(n: int, gamma: float = CANONICAL_GAMMA,
     """E V_gamma^n with its quadrature error estimate."""
     n = _validate_order(n)
     gamma = _validate_gamma(gamma)
-    base = contour_integral_inv_ai2(algebra.moment_polynomial(n), contour)
+    base = _inv_ai2_integral(_moment_coeffs(n), _spec(contour))
     return _scaled(base, 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0))
 
 
@@ -370,7 +401,7 @@ def moment_by_parts(j: int, k: int,
     """
     j = _validate_order(j)
     k = _validate_order(k)
-    spec = contour if contour is not None else default_contour()
+    spec = _spec(contour)
     prod = algebra.term_sum_product(
         algebra.inv_ai_derivative(j), algebra.inv_ai_derivative(k))
     terms = [(t.j, t.k, t.ell, float(c)) for t, c in prod.items()]
@@ -400,7 +431,7 @@ def mean_max_quad(gamma: float = CANONICAL_GAMMA,
                   contour: Optional[ContourSpec] = None) -> QuadResult:
     """E M_gamma = -2^{-2/3} gamma^{-1/3} (1/2 pi i) int z/Ai(z)^2 dz."""
     gamma = _validate_gamma(gamma)
-    base = contour_integral_inv_ai2(_Z, contour)
+    base = _inv_ai2_integral(_Z_COEFFS, _spec(contour))
     return _scaled(base, -(2.0 ** (-2.0 / 3.0)) * gamma ** (-1.0 / 3.0))
 
 
@@ -414,8 +445,7 @@ def char_fn_quad(t: float, contour: Optional[ContourSpec] = None) -> QuadResult:
     line; the imaginary part is an error diagnostic."""
     if not _is_real(t):
         raise ValueError("t must be a finite real")
-    spec = contour if contour is not None else default_contour()
-    return mgf_quad(1j * float(t), spec.sigma, spec)
+    return mgf_quad(1j * float(t), contour=_spec(contour))
 
 
 def char_fn(t: float, contour: Optional[ContourSpec] = None) -> complex:
@@ -428,14 +458,14 @@ def mgf_quad(t: complex, sigma: Optional[float] = None,
 
     The integrand is 1/(Ai(z) Ai(z + t)) on Re z = sigma.  Both Ai
     arguments must stay right of the zeros: sigma > a_1 and
-    sigma + Re t > a_1.  When sigma is omitted it defaults to
-    default_mgf_sigma(t).  Of the contour only the quadrature's knobs are
-    read, not its sigma.
+    sigma + Re t > a_1.  When sigma is omitted it is the contour's sigma,
+    or default_mgf_sigma(t) when the contour is omitted too.
     """
     if isinstance(t, bool) or not isinstance(t, numbers.Number) or not cmath.isfinite(t):
         raise ValueError("t must be a finite number")
     t = complex(t)
-    sigma = default_mgf_sigma(t) if sigma is None else sigma
+    if sigma is None:
+        sigma = contour.sigma if contour is not None else default_mgf_sigma(t)
     if not _is_real(sigma):
         raise ValueError("sigma must be a finite real")
     sigma, a1 = float(sigma), _first_zero()
@@ -443,9 +473,8 @@ def mgf_quad(t: complex, sigma: Optional[float] = None,
         raise ContourTooLeft(
             f"need sigma > a_1 and sigma + Re t > a_1; got sigma = {sigma}, "
             f"Re t = {t.real}, a_1 = {a1:.6f}")
-    spec = contour if contour is not None else default_contour()
     val, err, nodes = _line_integral(_product_integrand,
-                                     (complex(sigma), sigma + t), spec)
+                                     (complex(sigma), sigma + t), _spec(contour))
     return QuadResult(value=complex(val) / _TWO_PI, err_estimate=float(err) / _TWO_PI,
                       panels_used=nodes)
 
@@ -487,9 +516,10 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     At canonical scale f(u) = g(u) g(-u) / 2 with
     g(u) = (1/2 pi) int e^{-i t u} hat g(t) dt and hat g(t) = sqrt(2)/Ai(i t),
     read from the sigma = 0 line; then the length-scale change to gamma.
-    A trapezoidal sum in t is 2 pi/h-periodic in u, so h starts at the
-    largest power of two at or below the strip half-width -a_1 with
-    pi/h >= 2 max|u|: the images of g that T_2h adds then sit at |u| >= max|u|.
+    h starts at the first step of the line integrals (see `_first_step`),
+    with the strip half-width -a_1 and tol, halved further until
+    pi/h >= 2 max|u|: a trapezoidal sum in t is 2 pi/h-periodic in u, so
+    the images of g that T_2h adds then sit at |u| >= max|u|.
     Raises NoConvergence when tol cannot be met within the node budget.
     """
     gamma = _validate_gamma(gamma)
@@ -503,7 +533,7 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     if not np.all(np.isfinite(u)):
         raise ValueError("xs must be finite")
     u_max = float(np.max(np.abs(u), initial=0.0))
-    h = _dyadic_floor(-_first_zero())
+    h = _first_step(-_first_zero(), tol)
     while 2.0 * h * u_max > math.pi:
         h *= 0.5
 
@@ -556,7 +586,7 @@ class IdentityCheck:
 
 def identity_suite(contour: Optional[ContourSpec] = None) -> list[IdentityCheck]:
     """Cross-checks tying independent numerical routes together."""
-    spec = contour if contour is not None else default_contour()
+    spec = _spec(contour)
     checks: list[IdentityCheck] = []
 
     one = RationalPoly({0: Fraction(1)})

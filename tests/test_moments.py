@@ -125,9 +125,14 @@ def test_gamma_one_second_moment():
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
-def test_odd_moments_vanish(n):
+def test_odd_moments_vanish(monkeypatch, n):
+    # p_n is the zero polynomial: no table is built and no node evaluated
+    _empty_store(monkeypatch)
+    calls = _count_airy_points(monkeypatch)
+    moments._inv_ai2_integral.cache_clear()
     q = moment_quad(n)
-    assert abs(q.value) <= max(q.err_estimate, 1e-12)
+    assert (q.value, q.err_estimate, q.panels_used) == (0.0, 0.0, 0)
+    assert calls == [] and list(moments._LINES) == []
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -153,6 +158,19 @@ def test_contour_invariance():
 def test_truncation_height_doubles_until_tail_is_negligible():
     q = moment_quad(2, contour=ContourSpec(truncation_height=1.0))
     assert abs(q.value - ORACLE_EV[2]) <= q.err_estimate <= 1e-10
+
+
+def test_warm_hit_builds_no_key(monkeypatch):
+    # the default contour and each float key are built once; a repeated
+    # request neither constructs a ContourSpec nor converts coefficients
+    want = [moment_quad(6), moment_quad(6, 2.0), mean_max_quad(1.5)]
+
+    def rebuilt(*args):
+        raise AssertionError("cache key rebuilt on a warm hit")
+
+    monkeypatch.setattr(ContourSpec, "__post_init__", rebuilt)
+    monkeypatch.setattr(RationalPoly, "float_coeffs", rebuilt)
+    assert [moment_quad(6), moment_quad(6, 2.0), mean_max_quad(1.5)] == want
 
 
 def test_moment_validation():
@@ -284,6 +302,19 @@ def test_mgf_contour_too_left():
         mgf(-3.0, sigma=0.0)
     with pytest.raises(ContourTooLeft):
         mgf(0.5, sigma=-2.5)
+    # the contour's sigma = 0 is taken, not the automatic shift
+    with pytest.raises(ContourTooLeft, match="sigma = 0.0"):
+        mgf_quad(-3.0, contour=ContourSpec())
+
+
+def test_mgf_integrates_on_the_contour_sigma():
+    on_contour = mgf_quad(0.5, contour=ContourSpec(sigma=1.0))
+    explicit = mgf_quad(0.5, sigma=1.0)
+    assert _bits(_quad_fields(on_contour)) == _bits(_quad_fields(explicit))
+    assert on_contour.panels_used == explicit.panels_used
+    # a line other than the automatic sigma = 0, on which the value agrees
+    assert on_contour.value != mgf_quad(0.5).value
+    assert abs(on_contour.value - ORACLE_MGF_HALF) <= on_contour.err_estimate
 
 
 def test_mgf_validation():
@@ -374,20 +405,92 @@ def test_sigma0_table_is_shared(monkeypatch):
     assert np.array_equal(moments._LINES[0.0].y, np.arange(193) / 8.0)
 
 
+def _count_gather_steps(monkeypatch):
+    """Record the step of every table gathered from the node store."""
+    steps = []
+    gather = moments._node_table
+
+    def counted(origin, h, half_width):
+        steps.append(h)
+        return gather(origin, h, half_width)
+
+    monkeypatch.setattr(moments, "_node_table", counted)
+    return steps
+
+
 def test_cf_reads_the_sigma0_line(monkeypatch):
     # after E V^12 the sigma = 0 line holds every multiple of 1/8 up to its
-    # reach; a cf at a quarter-integer t adds only the nodes beyond it
+    # reach; a cf at a quarter-integer t adds only the nodes beyond it, and
+    # starts at the step its tolerance can accept
     _empty_store(monkeypatch)
     calls = _count_airy_points(monkeypatch)
+    steps = _count_gather_steps(monkeypatch)
     moments._inv_ai2_integral.cache_clear()
     moment_quad(12)
     for t in np.arange(0.25, 7.0 + 1e-9, 0.25):
         reach = moments._LINES[0.0].y.max()
         calls.clear()
+        steps.clear()
         char_fn_quad(float(t))
         assert list(moments._LINES) == [0.0]
         z = np.concatenate(calls)
         assert z.size <= 2 and np.all(np.abs(z.imag) > reach), t
+        assert len(set(steps)) <= 2, (t, steps)
+
+
+def test_fresh_mgf_line_takes_two_kernel_calls(monkeypatch):
+    # mgf(-3) opens the lines Re z = a_1 + 4 and a_1 + 1 (strip half-width
+    # 1); each reaches the kernel once per level, on two levels
+    _empty_store(monkeypatch)
+    calls = _count_airy_points(monkeypatch)
+    mgf_quad(-3.0)
+    per_line = {}
+    for z in calls:
+        assert np.all(z.real == z.real[0])
+        per_line[float(z.real[0])] = per_line.get(float(z.real[0]), 0) + 1
+    assert sorted(per_line) == sorted(moments._LINES)
+    assert len(per_line) == 2 and max(per_line.values()) <= 2, per_line
+
+
+def _quad_fields(q):
+    v = complex(q.value)
+    return np.array([v.real, v.imag, q.err_estimate])
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        q = fn(*args, **kwargs)
+    except NoConvergence as exc:
+        return type(exc).__name__
+    if isinstance(q, np.ndarray):
+        return _bits(q)
+    return _bits(_quad_fields(q)), q.panels_used
+
+
+def test_first_step_skips_only_levels_that_cannot_pass(monkeypatch):
+    # every result has the bits of a start at the strip half-width
+    gammas = (CANONICAL_GAMMA, 0.3, 3.0)
+    xs = np.linspace(-3.0, 3.0, 13)
+    requests = [(density_grid, (xs, g), {"tol": tol})
+                for tol in (1e-4, 1e-8, 1e-12) for g in gammas]
+    for rel_tol in (1e-6, 1e-10, 1e-13):
+        for sigma in (0.0, 0.5, 2.0):
+            spec = ContourSpec(sigma=sigma, rel_tol=rel_tol)
+            requests += [(moment_quad, (n,), {"contour": spec}) for n in range(0, 13, 2)]
+            requests.append((mean_max_quad, (), {"contour": spec}))
+            requests += [(char_fn_quad, (t, spec), {}) for t in (1.0 / 3.0, 1.0, 2.5, 5.0)]
+            requests += [(mgf_quad, (t,), {"contour": spec}) for t in (-2.0, -0.75, 0.5, 2.25)]
+
+    def run():
+        moments._inv_ai2_integral.cache_clear()
+        return [_outcome(fn, *args, **kwargs) for fn, args, kwargs in requests]
+
+    got = run()
+    monkeypatch.setattr(moments, "_first_step", lambda a, tol: moments._dyadic_floor(a))
+    want = run()
+    moments._inv_ai2_integral.cache_clear()
+    assert got == want
+    assert any(isinstance(r, str) for r in got)     # failures are compared too
 
 
 def _bits(*arrays):
