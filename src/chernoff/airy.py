@@ -12,7 +12,8 @@ beyond that sector.  In the overlap band 4.5 < |z| <= 9 both candidates
 are computed and the one with the smaller tracked bound wins.  Every bound
 adds series tails, first omitted asymptotic terms, and rounding charged on
 the tracked magnitude sums -- nothing is assumed accurate by fiat.  Where
-Ai overflows the kernel returns ai = inf with aip = bnd = 0.
+Ai overflows the kernel returns ai = inf with aip = bnd = 0, and where it
+underflows (|arg z| < pi/3, far out) ai = aip = bnd = 0.
 
 The kernel takes blocks of 64 points.  In a block, the series points and
 the asymptotic ones (the rotation identity's two rotated points each)
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -287,6 +289,9 @@ def _block(z: np.ndarray):
         aip[real] = aip[real].real
     bad = ~(np.isfinite(ai) & np.isfinite(aip) & np.isfinite(bnd))
     ai[bad], aip[bad], bnd[bad] = np.inf, 0.0, 0.0
+    # Ai does not overflow in |arg z| < pi/3; a point there fails only where
+    # |z|^(3/2) overflows (|z| beyond about 1e205), and there Ai underflows
+    ai[bad & (np.abs(np.angle(z)) < math.pi / 3.0)] = 0.0
     return ai, aip, bnd
 
 
@@ -294,7 +299,8 @@ def _ai_kernel(z: np.ndarray):
     """Ai, Ai' and the tracked absolute bound at every point of z.
 
     Where Ai overflows it is returned as inf, with Ai' and the bound 0, so
-    every quantity that divides by Ai vanishes there exactly.  Each
+    every quantity that divides by Ai vanishes there exactly; where it
+    underflows all three are 0.  Each
     point's result depends on that point alone.  A point whose Im z has
     its sign bit set is evaluated at its mirror image and conjugated, so
     the results at conj z are the conjugates of those at z bit for bit,
@@ -323,12 +329,12 @@ def airy_ai(z, target_abs_err: float = _DEFAULT_TARGET) -> AiryEval:
     target in doubles) and OverflowDomain if the value itself overflows.
     On the real axis the returned imaginary parts are exactly zero.
     """
-    if not (isinstance(target_abs_err, (int, float)) and math.isfinite(target_abs_err)
-            and target_abs_err > 0.0):
+    if not (isinstance(target_abs_err, (int, float)) and not isinstance(target_abs_err, bool)
+            and math.isfinite(target_abs_err) and target_abs_err > 0.0):
         raise ValueError("target_abs_err must be a positive finite real")
+    if isinstance(z, bool) or not isinstance(z, numbers.Number) or not cmath.isfinite(z):
+        raise ValueError("z must be a finite number")
     zc = complex(z)
-    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
-        raise ValueError("z must be finite")
     ai, aip, bnd = _ai_kernel(np.array([zc]))
     if np.isinf(ai[0]):
         raise OverflowDomain(f"Ai({zc!r}) overflows double precision")

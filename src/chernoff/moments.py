@@ -25,15 +25,16 @@ same table), h times the pointwise Airy bounds, 20 eps * h sum |F| for
 rounding, and that tail.  `max_panels` budgets the Airy-evaluated nodes
 a result may rest on; `panels_used` counts them.
 
-The moment formula at the canonical gamma = 1/sqrt(2) (so 2 gamma^2 = 1):
+All but `moment_by_parts` and the density are one integral,
 
-    E V^n = (1/2 pi i) * int p_n(z) / Ai(z)^2 dz,
+    I(p, t) = (1/2 pi i) * int p(z) / (Ai(z) Ai(z + t)) dz.
 
-and general gamma rescales by 2^{-n/3} gamma^{-2n/3}.  The expected maximum
-uses the integrand z / Ai(z)^2 with prefactor -2^{-2/3} gamma^{-1/3}, and
-E V_gamma^2 = E M_gamma / (3 gamma) ties the two together.  One cache,
-keyed by the polynomial's float coefficients and the contour, holds every
-integral of p(z) / Ai(z)^2; the zero polynomial (every odd moment) gives
+At the canonical gamma = 1/sqrt(2) (so 2 gamma^2 = 1) E V^n = I(p_n, 0),
+and general gamma rescales by 2^{-n/3} gamma^{-2n/3}; E M_gamma =
+-2^{-2/3} gamma^{-1/3} I(z, 0), so E V_gamma^2 = E M_gamma / (3 gamma)
+ties the two together; the mgf is I(1, t) (Groeneboom, PTRF 81, 1989)
+and the cf I(1, i t).  One cache, keyed by p's float coefficients, t and
+the contour, holds every I; the zero polynomial (every odd moment) gives
 0 without a table.
 """
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from . import algebra
 from .airy import _ai_kernel, airy_zero
 from .algebra import RationalPoly
-from .errors import ContourTooLeft, NoConvergence
+from .errors import ContourTooLeft, NoConvergence, OverflowDomain
 
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
@@ -65,11 +66,6 @@ CANONICAL_GAMMA = 1.0 / _SQRT2
 _Z_COEFFS = (0.0, 1.0)
 
 _MAX_HALF_WIDTH = 1536.0
-
-
-@lru_cache(maxsize=1)
-def _first_zero() -> float:
-    return airy_zero(1)
 
 
 def _is_real(v) -> bool:
@@ -91,10 +87,10 @@ class ContourSpec:
     def __post_init__(self):
         if not _is_real(self.sigma):
             raise ValueError("sigma must be a finite real")
-        if self.sigma <= _first_zero():
+        if self.sigma <= airy_zero(1):
             raise ContourTooLeft(
                 f"sigma = {self.sigma} is not to the right of the first Airy "
-                f"zero a_1 = {_first_zero():.6f}")
+                f"zero a_1 = {airy_zero(1):.6f}")
         if not (_is_real(self.truncation_height)
                 and 0.5 <= self.truncation_height <= _MAX_HALF_WIDTH):
             raise ValueError("truncation_height out of range")
@@ -177,10 +173,11 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
     is what `_ai_kernel` returns there, bit for bit.  Only the ordinates the
     store lacks are evaluated, in one kernel call, and merged in; where Ai
     overflows the kernel stores inf, with Ai' and the bound 0, so every
-    integrand (each divides by Ai) vanishes there exactly.  Lines
-    leave least recently used first once all together hold more than
-    _TABLE_NODES nodes; the line being read stays, and a line that would
-    outgrow the cap keeps only the ordinates of the table being read.
+    integrand (each divides by Ai) vanishes there exactly, and where Ai
+    underflows it stores 0, so `_trapezoid` raises.  Lines leave least
+    recently used first once all together hold more than _TABLE_NODES
+    nodes; the line being read stays, and a line that would outgrow the
+    cap keeps only the ordinates of the table being read.
     """
     x = origin.real + 0.0           # one key for the line through -0.0 and 0.0
     m = math.floor(half_width / h)
@@ -301,7 +298,7 @@ def _trapezoid(sums, lines: int, h: float, spec: ContourSpec, tol_of):
 def _line_integral(integrand, origins: tuple, spec: ContourSpec):
     """int F dy with F = integrand(*tables), one table per line
     Re z = Re c through each origin c; returns (value, err, nodes)."""
-    h0 = _first_step(min(c.real for c in origins) - _first_zero(), spec.rel_tol)
+    h0 = _first_step(min(c.real for c in origins) - airy_zero(1), spec.rel_tol)
 
     def sums(h, y):
         f, e = integrand(*(_node_table(c, h, 2.0 * y) for c in origins))
@@ -310,16 +307,10 @@ def _line_integral(integrand, origins: tuple, spec: ContourSpec):
         return (h * f.sum(), 2.0 * h * f[k % 2 == 0].sum(), h * e.sum(), h * w.sum(),
                 _tail(w + e, k, h, y))
 
-    return _trapezoid(sums, len(origins), h0, spec,
-                      lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
-
-
-def _product_integrand(tab: _Table, shifted: _Table):
-    """1 / (Ai(z) Ai(z + shift)), the second factor read on its own line."""
-    inv0, rel0 = tab.reciprocal()
-    inv1, rel1 = shifted.reciprocal()
-    val = inv0 * inv1
-    return val, np.abs(val) * (rel0 + rel1)
+    # a non-finite integrand raises in _trapezoid, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _trapezoid(sums, len(origins), h0, spec,
+                          lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
 
 
 def contour_integral_inv_ai2(poly: RationalPoly,
@@ -331,7 +322,7 @@ def contour_integral_inv_ai2(poly: RationalPoly,
     """
     if not isinstance(poly, RationalPoly):
         raise TypeError("poly must be a RationalPoly")
-    return _inv_ai2_integral(tuple(poly.float_coeffs()), _spec(contour))
+    return _real(_ai_product_integral(tuple(poly.float_coeffs()), 0, _spec(contour)), 1.0)
 
 
 @lru_cache(maxsize=128)
@@ -341,26 +332,33 @@ def _moment_coeffs(n: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _inv_ai2_integral(coeffs: tuple, spec: ContourSpec) -> QuadResult:
-    """contour_integral_inv_ai2 for the ascending float coefficients."""
+def _ai_product_integral(coeffs: tuple, t: complex, spec: ContourSpec):
+    """int p(z) / (Ai(z) Ai(z + t)) dy on Re z = spec.sigma, p given by its
+    ascending float coefficients: the raw (value, err, nodes), 2 pi times
+    I(p, t).  At t = 0 one table serves both factors; otherwise the second
+    is read on the line through sigma + t.  A constant p is its one
+    coefficient, and the zero polynomial gives 0 without a table."""
     if not any(coeffs):
-        return QuadResult(value=0.0, err_estimate=0.0, panels_used=0)
-    descending = coeffs[::-1]
+        return 0j, 0.0, 0
+    c = complex(spec.sigma)
 
-    def f(tab: _Table):
-        inv, rel = tab.reciprocal()
-        val = np.polyval(descending, tab.z) * inv * inv
-        return val, np.abs(val) * 2.0 * rel
+    def f(tab: _Table, shifted: Optional[_Table] = None):
+        inv0, rel0 = tab.reciprocal()
+        inv1, rel1 = (inv0, rel0) if shifted is None else shifted.reciprocal()
+        p = coeffs[0] if len(coeffs) == 1 else np.polyval(coeffs[::-1], tab.z)
+        val = p * inv0 * inv1
+        return val, np.abs(val) * (rel0 + rel1)
 
-    val, err, nodes = _line_integral(f, (complex(spec.sigma),), spec)
-    return QuadResult(value=float(val.real) / _TWO_PI,
-                      err_estimate=float(err + abs(val.imag)) / _TWO_PI,
-                      panels_used=nodes)
+    val, err, nodes = _line_integral(f, (c,) if t == 0 else (c, c + t), spec)
+    return complex(val), float(err), nodes
 
 
-def _scaled(base: QuadResult, scale: float) -> QuadResult:
-    return QuadResult(value=scale * base.value, err_estimate=abs(scale) * base.err_estimate,
-                      panels_used=base.panels_used)
+def _real(raw: tuple, scale: float) -> QuadResult:
+    """scale * I from the raw triple of a real p: the imaginary part, zero
+    in exact arithmetic, is folded into the error estimate."""
+    val, err, nodes = raw
+    return QuadResult(scale * (val.real / _TWO_PI),
+                      abs(scale) * ((err + abs(val.imag)) / _TWO_PI), nodes)
 
 
 def _validate_gamma(gamma: float) -> float:
@@ -380,8 +378,17 @@ def moment_quad(n: int, gamma: float = CANONICAL_GAMMA,
     """E V_gamma^n with its quadrature error estimate."""
     n = _validate_order(n)
     gamma = _validate_gamma(gamma)
-    base = _inv_ai2_integral(_moment_coeffs(n), _spec(contour))
-    return _scaled(base, 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0))
+    try:
+        scale = 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0)
+        coeffs = _moment_coeffs(n)
+    except OverflowError:           # from the power, or from p_n's coefficients
+        pass
+    else:
+        q = _real(_ai_product_integral(coeffs, 0, _spec(contour)), scale)
+        # only a scale above 1 can carry a finite integral past the double range
+        if scale <= 1.0 or math.isfinite(q.value) and math.isfinite(q.err_estimate):
+            return q
+    raise OverflowDomain(f"E V^{n} at gamma = {gamma!r} overflows double precision")
 
 
 def moment(n: int, gamma: float = CANONICAL_GAMMA,
@@ -431,8 +438,8 @@ def mean_max_quad(gamma: float = CANONICAL_GAMMA,
                   contour: Optional[ContourSpec] = None) -> QuadResult:
     """E M_gamma = -2^{-2/3} gamma^{-1/3} (1/2 pi i) int z/Ai(z)^2 dz."""
     gamma = _validate_gamma(gamma)
-    base = _inv_ai2_integral(_Z_COEFFS, _spec(contour))
-    return _scaled(base, -(2.0 ** (-2.0 / 3.0)) * gamma ** (-1.0 / 3.0))
+    return _real(_ai_product_integral(_Z_COEFFS, 0, _spec(contour)),
+                 -(2.0 ** (-2.0 / 3.0)) * gamma ** (-1.0 / 3.0))
 
 
 def mean_max(gamma: float = CANONICAL_GAMMA,
@@ -452,42 +459,33 @@ def char_fn(t: float, contour: Optional[ContourSpec] = None) -> complex:
     return char_fn_quad(t, contour).value
 
 
-def mgf_quad(t: complex, sigma: Optional[float] = None,
-             contour: Optional[ContourSpec] = None) -> QuadResult:
+def mgf_quad(t: complex, contour: Optional[ContourSpec] = None) -> QuadResult:
     """E exp(t V) at canonical gamma for complex t.
 
-    The integrand is 1/(Ai(z) Ai(z + t)) on Re z = sigma.  Both Ai
-    arguments must stay right of the zeros: sigma > a_1 and
-    sigma + Re t > a_1.  When sigma is omitted it is the contour's sigma,
-    or default_mgf_sigma(t) when the contour is omitted too.
+    The integrand is 1/(Ai(z) Ai(z + t)) on the contour's line Re z =
+    sigma, by default ContourSpec(sigma=default_mgf_sigma(t)).  The shifted
+    argument must stay right of the zeros too: sigma + Re t > a_1.
     """
     if isinstance(t, bool) or not isinstance(t, numbers.Number) or not cmath.isfinite(t):
         raise ValueError("t must be a finite number")
     t = complex(t)
-    if sigma is None:
-        sigma = contour.sigma if contour is not None else default_mgf_sigma(t)
-    if not _is_real(sigma):
-        raise ValueError("sigma must be a finite real")
-    sigma, a1 = float(sigma), _first_zero()
-    if sigma <= a1 or sigma + t.real <= a1:
+    spec = contour if contour is not None else ContourSpec(sigma=default_mgf_sigma(t))
+    if spec.sigma + t.real <= airy_zero(1):
         raise ContourTooLeft(
-            f"need sigma > a_1 and sigma + Re t > a_1; got sigma = {sigma}, "
-            f"Re t = {t.real}, a_1 = {a1:.6f}")
-    val, err, nodes = _line_integral(_product_integrand,
-                                     (complex(sigma), sigma + t), _spec(contour))
-    return QuadResult(value=complex(val) / _TWO_PI, err_estimate=float(err) / _TWO_PI,
-                      panels_used=nodes)
+            f"need sigma + Re t > a_1; got sigma = {spec.sigma}, Re t = {t.real}, "
+            f"a_1 = {airy_zero(1):.6f}")
+    val, err, nodes = _ai_product_integral((1.0,), t, spec)
+    return QuadResult(val / _TWO_PI, err / _TWO_PI, nodes)
 
 
 def default_mgf_sigma(t: complex) -> float:
     """The default mgf contour max(0, a_1 + 1 - Re t): both Ai arguments
     then stay right of the zeros with unit margin."""
-    return max(0.0, _first_zero() + 1.0 - t.real)
+    return max(0.0, airy_zero(1) + 1.0 - t.real)
 
 
-def mgf(t: complex, sigma: Optional[float] = None,
-        contour: Optional[ContourSpec] = None) -> complex:
-    return mgf_quad(t, sigma, contour).value
+def mgf(t: complex, contour: Optional[ContourSpec] = None) -> complex:
+    return mgf_quad(t, contour).value
 
 
 def length_scale(gamma: float) -> float:
@@ -533,7 +531,7 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     if not np.all(np.isfinite(u)):
         raise ValueError("xs must be finite")
     u_max = float(np.max(np.abs(u), initial=0.0))
-    h = _first_step(-_first_zero(), tol)
+    h = _first_step(-airy_zero(1), tol)
     while 2.0 * h * u_max > math.pi:
         h *= 0.5
 
@@ -612,7 +610,7 @@ def identity_suite(contour: Optional[ContourSpec] = None) -> list[IdentityCheck]
     # the product integrand's contour invariance: the cf on the spec's line
     # against the mgf at i on sigma = 0.5
     cf = char_fn(1.0, spec)
-    mg = mgf(complex(0.0, 1.0), sigma=0.5, contour=spec)
+    mg = mgf(complex(0.0, 1.0), replace(spec, sigma=0.5))
     checks.append(IdentityCheck("char_fn(1) = mgf(i) on sigma=0.5",
                                 abs(cf - mg) <= 1e-8, abs(cf), abs(mg), 1e-8))
     return checks

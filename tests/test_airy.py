@@ -198,10 +198,30 @@ def test_overflow_raises():
         airy_ai(140j)
 
 
-@pytest.mark.parametrize("target", [0.0, -1e-9, float("nan")])
+@pytest.mark.parametrize("target", [0.0, -1e-9, float("nan"), True])
 def test_bad_target_rejected(target):
     with pytest.raises(ValueError):
         airy_ai(1.0, target_abs_err=target)
+
+
+@pytest.mark.parametrize("z", ["1", True, False, complex(float("inf"), 0.0), None])
+def test_bad_argument_rejected(z):
+    with pytest.raises(ValueError):
+        airy_ai(z)
+
+
+@pytest.mark.parametrize("r", [1e206, 1e250, 1e300])
+@pytest.mark.parametrize("deg", [0.0, 30.0, 59.0])
+def test_far_underflow_is_zero_not_overflow(r, deg):
+    # |zeta| overflows out here; in |arg z| < pi/3 Ai underflows, as it
+    # does at |z| = 1e3, and is returned as 0, not as the overflow marker
+    z = r * cmath.exp(1j * math.radians(deg))
+    for ai, aip, bnd in zip(*airy._ai_kernel(np.array([z, z.conjugate(), 1e3]))):
+        assert (ai, aip, bnd) == (0.0, 0.0, 0.0)
+    assert airy_ai(z).ai == 0.0
+    # past arg z = pi/3 it still overflows
+    with pytest.raises(OverflowDomain):
+        airy_ai(r * cmath.exp(1j * math.radians(61.0)))
 
 
 def test_inverse_square_decreases_along_contour():

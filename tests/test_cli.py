@@ -382,3 +382,14 @@ def test_env_reltol_unreachable(capsys, monkeypatch):
     code, _, err = run(capsys, "moment", "--n", "2")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moment", "--n", "2", "--gamma", "1e-300"),     # the gamma power overflows
+    ("moment", "--n", "202"),                        # and p_202's coefficients
+    ("mgf", "--t-re", "1e300"),                      # Ai(z + t) underflows
+])
+def test_out_of_range_is_a_numerical_failure(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "numerical failure" in err

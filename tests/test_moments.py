@@ -29,6 +29,7 @@ from chernoff import (
     ContourSpec,
     ContourTooLeft,
     NoConvergence,
+    OverflowDomain,
     RationalPoly,
     char_fn,
     char_fn_quad,
@@ -129,7 +130,6 @@ def test_odd_moments_vanish(monkeypatch, n):
     # p_n is the zero polynomial: no table is built and no node evaluated
     _empty_store(monkeypatch)
     calls = _count_airy_points(monkeypatch)
-    moments._inv_ai2_integral.cache_clear()
     q = moment_quad(n)
     assert (q.value, q.err_estimate, q.panels_used) == (0.0, 0.0, 0)
     assert calls == [] and list(moments._LINES) == []
@@ -171,6 +171,16 @@ def test_warm_hit_builds_no_key(monkeypatch):
     monkeypatch.setattr(ContourSpec, "__post_init__", rebuilt)
     monkeypatch.setattr(RationalPoly, "float_coeffs", rebuilt)
     assert [moment_quad(6), moment_quad(6, 2.0), mean_max_quad(1.5)] == want
+
+
+@pytest.mark.parametrize("n, gamma", [(2, 1e-300), (202, CANONICAL_GAMMA),
+                                      (12, 1.5e308 ** -0.125)])
+def test_moment_overflow_is_typed(n, gamma):
+    # gamma^(-2n/3) overflows at gamma = 1e-300; p_202 is the first moment
+    # polynomial with a coefficient beyond the double range; the scale of
+    # E V^12 is finite at 1.5e308^(-1/8), but not the scaled value
+    with pytest.raises(OverflowDomain, match=rf"E V\^{n} at gamma = {gamma!r}"):
+        moment_quad(n, gamma)
 
 
 def test_moment_validation():
@@ -299,9 +309,9 @@ def test_mgf_even_via_shifted_contour():
 
 def test_mgf_contour_too_left():
     with pytest.raises(ContourTooLeft):
-        mgf(-3.0, sigma=0.0)
+        mgf(-3.0, ContourSpec(sigma=0.0))
     with pytest.raises(ContourTooLeft):
-        mgf(0.5, sigma=-2.5)
+        mgf(0.5, ContourSpec(sigma=-2.5))
     # the contour's sigma = 0 is taken, not the automatic shift
     with pytest.raises(ContourTooLeft, match="sigma = 0.0"):
         mgf_quad(-3.0, contour=ContourSpec())
@@ -309,11 +319,13 @@ def test_mgf_contour_too_left():
 
 def test_mgf_integrates_on_the_contour_sigma():
     on_contour = mgf_quad(0.5, contour=ContourSpec(sigma=1.0))
-    explicit = mgf_quad(0.5, sigma=1.0)
-    assert _bits(_quad_fields(on_contour)) == _bits(_quad_fields(explicit))
-    assert on_contour.panels_used == explicit.panels_used
+    # without a contour the line is default_mgf_sigma(t), here sigma = 0
+    default = mgf_quad(0.5)
+    named = mgf_quad(0.5, ContourSpec(sigma=moments.default_mgf_sigma(0.5 + 0j)))
+    assert _bits(_quad_fields(default)) == _bits(_quad_fields(named))
+    assert default.panels_used == named.panels_used
     # a line other than the automatic sigma = 0, on which the value agrees
-    assert on_contour.value != mgf_quad(0.5).value
+    assert on_contour.value != default.value
     assert abs(on_contour.value - ORACLE_MGF_HALF) <= on_contour.err_estimate
 
 
@@ -322,10 +334,48 @@ def test_mgf_validation():
         with pytest.raises(ValueError):
             mgf(t)
         with pytest.raises(ValueError):
-            mgf_quad(t, sigma=1.0)
+            mgf_quad(t, ContourSpec(sigma=1.0))
     for sigma in (True, "1", float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            mgf(0.5, sigma=sigma)
+            mgf(0.5, ContourSpec(sigma=sigma))
+    # the contour is the one way to name the line
+    with pytest.raises(TypeError):
+        mgf_quad(0.5, sigma=1.0)
+
+
+def test_repeated_cf_and_mgf_gather_no_table(monkeypatch):
+    jobs = [(char_fn_quad, 1.5), (char_fn_quad, 1.0 / 3.0), (mgf_quad, -2.25),
+            (mgf_quad, complex(-1.0, 0.3))]
+    want = [f(t) for f, t in jobs]
+    steps = _count_gather_steps(monkeypatch)
+    assert [f(t) for f, t in jobs] == want
+    assert steps == []
+
+
+def test_zero_shift_reads_one_line():
+    # cf(0) = mgf(0) is the normalization integral of 1/Ai^2, on one line
+    one = contour_integral_inv_ai2(RationalPoly({0: Fraction(1)}))
+    for q in (char_fn_quad(0.0), mgf_quad(0.0)):
+        assert _bits(np.array([q.value.real])) == _bits(np.array([one.value]))
+        assert q.panels_used == one.panels_used == 193
+
+
+@pytest.mark.parametrize("sigma", [100.0, 1e6, 1e300])
+def test_far_contour_fails_typed_without_warnings(sigma):
+    # 1/Ai^2 overflows along the line at sigma = 100; further out Ai
+    # itself underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="integrand not finite"):
+            moment_quad(2, contour=ContourSpec(sigma=sigma))
+
+
+@pytest.mark.parametrize("t", [1e300, -1e300])
+def test_far_mgf_fails_typed_without_warnings(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="integrand not finite"):
+            mgf_quad(t)
 
 
 # ---------------------------------------------------------------- contour plumbing
@@ -367,6 +417,8 @@ def test_no_convergence_on_tiny_budget():
 
 
 def _empty_store(monkeypatch, cap=None):
+    # cached results would answer without reading the store
+    moments._ai_product_integral.cache_clear()
     monkeypatch.setattr(moments, "_LINES", OrderedDict())
     if cap is not None:
         monkeypatch.setattr(moments, "_TABLE_NODES", cap)
@@ -388,7 +440,6 @@ def _count_airy_points(monkeypatch):
 def test_sigma0_table_is_shared(monkeypatch):
     _empty_store(monkeypatch)
     calls = _count_airy_points(monkeypatch)
-    moments._inv_ai2_integral.cache_clear()
     moment_quad(2)
     assert sum(z.size for z in calls) > 0
     for n in range(13):
@@ -425,7 +476,6 @@ def test_cf_reads_the_sigma0_line(monkeypatch):
     _empty_store(monkeypatch)
     calls = _count_airy_points(monkeypatch)
     steps = _count_gather_steps(monkeypatch)
-    moments._inv_ai2_integral.cache_clear()
     moment_quad(12)
     for t in np.arange(0.25, 7.0 + 1e-9, 0.25):
         reach = moments._LINES[0.0].y.max()
@@ -482,13 +532,13 @@ def test_first_step_skips_only_levels_that_cannot_pass(monkeypatch):
             requests += [(mgf_quad, (t,), {"contour": spec}) for t in (-2.0, -0.75, 0.5, 2.25)]
 
     def run():
-        moments._inv_ai2_integral.cache_clear()
+        moments._ai_product_integral.cache_clear()
         return [_outcome(fn, *args, **kwargs) for fn, args, kwargs in requests]
 
     got = run()
     monkeypatch.setattr(moments, "_first_step", lambda a, tol: moments._dyadic_floor(a))
     want = run()
-    moments._inv_ai2_integral.cache_clear()
+    moments._ai_product_integral.cache_clear()
     assert got == want
     assert any(isinstance(r, str) for r in got)     # failures are compared too
 
