@@ -49,6 +49,15 @@ def _contour_from_env(sigma: float = 0.0) -> moments.ContourSpec:
     return moments.ContourSpec(sigma=sigma, rel_tol=rel)
 
 
+def _check_out(*paths: str) -> None:
+    """Refuse, before any work, an output file that cannot be written."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if (not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(parent)
+                or not os.access(path if os.path.exists(path) else parent, os.W_OK)):
+            raise _UsageError(f"cannot write --out {path!r}")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -198,6 +207,9 @@ def cmd_simulate(args) -> int:
                            step=args.step, num_paths=args.paths, seed=args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    if cfg.num_paths < 2:
+        raise _UsageError("--paths must be >= 2 for a standard error")
+    _check_out(args.out, args.out + ".json")
     print(f"simulating {cfg.num_paths} paths "
           f"(N = {cfg.steps_per_side} steps/side) ...", file=sys.stderr)
     samples = run_paths(cfg)
@@ -308,6 +320,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -18,12 +18,12 @@ starts at the largest power of two at or below min(a, 2 pi a / ln(1/tol)):
 no coarser step could pass the first check (see `_first_step`), and dyadic
 steps and quarter-integer shifts land on shared ordinates.  h is then
 halved, reusing the coarser nodes, until the error meets
-rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at the truncation
-height and doubles until the octave Y < |y| <= 2Y bounds what lies
-beyond 2Y.  The error adds |T_h - T_2h| (T_2h from the even nodes of the
-same table), h times the pointwise Airy bounds, 20 eps * h sum |F| for
-rounding, and that tail.  `max_panels` budgets the Airy-evaluated nodes
-a result may rest on; `panels_used` counts them.
+rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at _START_HEIGHT and
+doubles until the octave Y < |y| <= 2Y bounds what lies beyond 2Y.  The
+error adds |T_h - T_2h| (T_2h from the even nodes of the same table),
+h times the pointwise Airy bounds, 20 eps * h sum |F| for rounding, and
+that tail.  A line integral rests on at most _LINE_NODES Airy-evaluated
+nodes, a density table on _DENSITY_NODES; `panels_used` counts them.
 
 All but `moment_by_parts` and the density are one integral,
 
@@ -65,7 +65,12 @@ CANONICAL_GAMMA = 1.0 / _SQRT2
 #: the float key of the polynomial z, the expected maximum's integrand
 _Z_COEFFS = (0.0, 1.0)
 
+#: the first truncation height Y of every quadrature; Y doubles from here
+_START_HEIGHT = 12.0
+#: cap on the doubled truncation height 2Y
 _MAX_HALF_WIDTH = 1536.0
+#: node budget of a line integral, over every line it reads
+_LINE_NODES = 4000
 
 
 def _is_real(v) -> bool:
@@ -75,14 +80,11 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical-line contour Re z = sigma with the quadrature's knobs: the
-    starting truncation height, the relative tolerance and the budget of
-    Airy-evaluated nodes."""
+    """Vertical-line contour Re z = sigma and the relative tolerance of the
+    integrals along it; the stepping rule finds the step and the height."""
 
     sigma: float = 0.0
-    truncation_height: float = 12.0
     rel_tol: float = 1e-10
-    max_panels: int = 4000
 
     def __post_init__(self):
         if not _is_real(self.sigma):
@@ -91,13 +93,8 @@ class ContourSpec:
             raise ContourTooLeft(
                 f"sigma = {self.sigma} is not to the right of the first Airy "
                 f"zero a_1 = {airy_zero(1):.6f}")
-        if not (_is_real(self.truncation_height)
-                and 0.5 <= self.truncation_height <= _MAX_HALF_WIDTH):
-            raise ValueError("truncation_height out of range")
         if not (_is_real(self.rel_tol) and 0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must be in (0, 1)")
-        if not (isinstance(self.max_panels, int) and 8 <= self.max_panels <= 10**7):
-            raise ValueError("max_panels must be an integer in [8, 1e7]")
 
 
 @lru_cache(maxsize=1)
@@ -251,30 +248,31 @@ def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
     return outer if outer <= 0.5 * inner else inner + outer
 
 
-def _unmet(reason: str, err, h: float, y: float, spec: ContourSpec) -> NoConvergence:
+def _unmet(reason: str, err, h: float, y: float, budget: int) -> NoConvergence:
     return NoConvergence(
         f"{reason}: err ~ {float(np.max(err, initial=0.0)):.3e} at h = {h:.4g}, "
-        f"Y = {y:g} (budget {spec.max_panels} Airy nodes)")
+        f"Y = {y:g} (budget {budget} Airy nodes)")
 
 
-def _trapezoid(sums, lines: int, h: float, spec: ContourSpec, tol_of):
+def _trapezoid(sums, lines: int, h: float, budget: int, tol_of):
     """The stepping rule every quadrature here shares.
 
     sums(h, Y) returns, elementwise, T_h over the tables on |y| <= 2Y, T_2h
     over their even nodes, h times the pointwise bounds, h sum |F| and the
-    tail charge.  Y doubles while the tail is not negligible, h halves
-    while err = |T_h - T_2h| + bounds + rounding + tail exceeds
-    tol_of(T_h, h sum |F|).  Returns (T_h, err, nodes).
+    tail charge.  Y starts at _START_HEIGHT and doubles while the tail is
+    not negligible, h halves while err = |T_h - T_2h| + bounds + rounding
+    + tail exceeds tol_of(T_h, h sum |F|), and the nodes of all `lines`
+    tables together stay within `budget`.  Returns (T_h, err, nodes).
     """
-    y = spec.truncation_height
+    y = _START_HEIGHT
     while h > 0.5 * y:      # so both halves of the octave hold nodes
         h *= 0.5
     err, seen = math.inf, (h, y)
     while True:
         reach = 2.0 * y / h
-        nodes = lines * (2 * math.floor(reach) + 1) if reach <= spec.max_panels else math.inf
-        if nodes > spec.max_panels:
-            raise _unmet("node budget exhausted", err, *seen, spec)
+        nodes = lines * (2 * math.floor(reach) + 1) if reach <= budget else math.inf
+        if nodes > budget:
+            raise _unmet("node budget exhausted", err, *seen, budget)
         v, v2, pts, mag, tail = sums(h, y)
         tol = tol_of(v, mag)
         disc = np.abs(v - v2)
@@ -284,13 +282,13 @@ def _trapezoid(sums, lines: int, h: float, spec: ContourSpec, tol_of):
         if np.all(err <= tol):
             return v, err, nodes
         if not np.all(np.isfinite(err)):
-            raise _unmet("integrand not finite", err, h, y, spec)
+            raise _unmet("integrand not finite", err, h, y, budget)
         if np.any(tail > 0.1 * tol):
             y *= 2.0
             if y > _MAX_HALF_WIDTH:
-                raise _unmet("tail does not decay", err, h, y / 2.0, spec)
+                raise _unmet("tail does not decay", err, h, y / 2.0, budget)
         elif np.any((floor > tol) & (disc <= floor)):
-            raise _unmet("Airy bounds and rounding exceed the tolerance", err, h, y, spec)
+            raise _unmet("Airy bounds and rounding exceed the tolerance", err, h, y, budget)
         else:
             h *= 0.5
 
@@ -309,7 +307,7 @@ def _line_integral(integrand, origins: tuple, spec: ContourSpec):
 
     # a non-finite integrand raises in _trapezoid, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        return _trapezoid(sums, len(origins), h0, spec,
+        return _trapezoid(sums, len(origins), h0, _LINE_NODES,
                           lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
 
 
@@ -562,8 +560,7 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
 
     # with |g| <= G = h sum |hat g| / 2 pi and both errors below
     # min(1, 2 s tol / (2G + 1)), the error of g(u) g(-u) / (2 s) is below tol
-    spec = replace(default_contour(), max_panels=_DENSITY_NODES)
-    g, _, _ = _trapezoid(sums, 1, h, spec,
+    g, _, _ = _trapezoid(sums, 1, h, _DENSITY_NODES,
                          lambda v, mag: min(1.0, 2.0 * s * tol / (2.0 * mag + 1.0)))
     return 0.5 * g[:u.size] * g[u.size:] / s
 

@@ -1,8 +1,9 @@
 """Exact-algebra tests: derivative chain, reduction, moment polynomials.
 
 Two independent oracles: sympy re-derives the 1/Ai derivative chain and the
-x/sinh(x) series symbolically, and mpmath integrates single atoms along the
-imaginary axis to confirm the reduction recurrence numerically.
+x/sinh(x) series symbolically, and mpmath integrals of single atoms along the
+imaginary axis, frozen in reduction_references.json, confirm the reduction
+recurrence numerically.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -197,32 +199,28 @@ def test_derivative_rule_single_atom():
 # ---------------------------------------------------------------- reduction
 
 
+# int_{-30}^{30} z^j Ai'(z)^k / Ai(z)^ell dy at z = i y, frozen at 30 digits
+# from mpmath quadrature by tests/make_reduction_references.py
+REDUCTION_REFS = json.loads(
+    (Path(__file__).with_name("reduction_references.json")).read_text())["values"]
+
+
+def _frozen(term) -> Fraction:
+    key = ",".join(map(str, term))
+    # a basis term without a frozen value fails, it does not skip
+    assert key in REDUCTION_REFS, f"no frozen integral for {key}: rerun make_reduction_references.py"
+    return Fraction(REDUCTION_REFS[key])
+
+
 @pytest.mark.parametrize(
     "atom",
     [(0, 1, 3), (1, 1, 3), (0, 2, 4), (2, 2, 4), (3, 1, 4), (1, 3, 5)],
 )
 def test_reduction_against_quadrature(atom):
-    # independent check: integrate the atom and its reduction along z = iy
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 25
-
-    def contour_int(ts):
-        def f(y):
-            zz = mpmath.mpc(0, y)
-            ai = mpmath.airyai(zz)
-            aip = mpmath.airyai(zz, 1)
-            acc = mpmath.mpc(0)
-            for (j, k, ell), c in ts.items():
-                acc += int(c.numerator) * zz**j * aip**k / (
-                    int(c.denominator) * ai**ell
-                )
-            return acc
-
-        return mpmath.quad(f, [-30, -8, 0, 8, 30])
-
-    lhs = contour_int(TermSum([(AiryTerm(*atom), 1)]))
-    rhs = contour_int(reduce_integral(atom))
-    assert abs(complex(lhs - rhs)) < 1e-18
+    # independent check: the atom's integral along z = iy against the
+    # integrals of its live reduction, in exact rational arithmetic
+    rhs = sum((c * _frozen(t) for t, c in reduce_integral(atom).items()), Fraction(0))
+    assert abs(_frozen(atom) - rhs) < 1e-18
 
 
 def test_reduced_form_is_normal():

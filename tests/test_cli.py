@@ -15,12 +15,10 @@ jsonschema = pytest.importorskip("jsonschema")
 
 CONTOUR_SCHEMA = {
     "type": "object",
-    "required": ["sigma", "truncation_height", "rel_tol", "max_panels"],
+    "required": ["sigma", "rel_tol"],
     "properties": {
         "sigma": {"type": "number"},
-        "truncation_height": {"type": "number"},
         "rel_tol": {"type": "number"},
-        "max_panels": {"type": "integer"},
     },
     "additionalProperties": False,
 }
@@ -330,6 +328,36 @@ def test_simulate_bad_config(capsys, tmp_path):
                        "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("paths, target", [
+    ("1", "s.csv"), ("10", "missing/s.csv"), ("10", "."), ("10", "")])
+def test_simulate_refuses_before_simulating(capsys, tmp_path, paths, target):
+    # one path has no standard error, and an unwritable --out would be
+    # found only after the paths were built
+    out = str(tmp_path / target) if target else ""
+    code, stdout, err = run(capsys, "simulate", "--paths", paths, "--step", "0.01",
+                            "--out", out)
+    assert code == 2
+    assert stdout == "" and "simulating" not in err
+    assert err.count("\n") == 1 and err.startswith("usage error")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("moment", "--n", "2"),
+    ("density", "--from", "0", "--to", "1", "--step", "0.5"),
+    ("polys", "--max-n", "4"),
+    ("mean-max",),
+])
+@pytest.mark.parametrize("target", ["missing/x.txt", "."])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    # exit 1 is kept for a failed verification
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 2
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith("usage error: cannot write --out")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- exit codes, env
