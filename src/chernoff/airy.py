@@ -15,26 +15,31 @@ the tracked magnitude sums -- nothing is assumed accurate by fiat.  Where
 Ai overflows the kernel returns ai = inf with aip = bnd = 0, and where it
 underflows (|arg z| < pi/3, far out) ai = aip = bnd = 0.
 
-The kernel takes blocks of 64 points.  In a block, the series points and
-the asymptotic ones (the rotation identity's two rotated points each)
-share one (terms, 2, points) array of terms, built from powers of z^3 or
-of -1/zeta by repeated squaring, with no loop over terms:
+The kernel takes blocks of up to 256 points.  In a block, the series
+points and the asymptotic ones (the rotation identity's two rotated
+points each) share one (terms, 2, points) array of terms, built from
+powers of z^3 or of -1/zeta by repeated squaring, with no loop over
+terms, and holding only the rows the block needs:
 
 - A series point sums a fixed number of terms set by its radius band
   (1, 2, 3, 4.5, 6, 7.5, 9): the count at which the term-by-term stopping
   rule (ratio of successive terms below 1/2, last terms below 1e-17 of
-  the magnitude sums) stops at the band's outer radius.
-- An asymptotic point reads its own optimal-truncation index off all
-  61 terms (k <= 60).
+  the magnitude sums) stops at the band's outer radius, 34 at most.
+- An asymptotic point reads its own optimal-truncation index off the
+  first 41 terms (k <= 40).  Every point tried stops within them (the
+  most terms are needed near |z| = 9.4); a block with a point that has
+  not is summed again over all 61 terms (k <= 60).
 - Each sum takes one error-free extraction (Rump, Ogita & Oishi, SIAM J.
   Sci. Comput. 31, 2008; see `_exact_sum`), so its rounding error is far
   below the 4 eps sum |t| (series) or 6 eps sum |t| (asymptotic) charged.
 
-Nothing is decided per block, and zero terms beyond a point's truncation
-index change none of its sums, so every point's bits are those of its
-length-1 evaluation, and a point below the real axis is its mirror
-image's conjugate: tables gathered from a store of earlier nodes, read
-as conjugates below the axis, do not depend on history.
+Nothing is decided per block: a point that stops within the rows built
+has the truncation index and first omitted term it has among all 61, and
+zero terms beyond a point's truncation index change none of its sums, so
+every point's bits are those of its length-1 evaluation, and a point
+below the real axis is its mirror image's conjugate: tables gathered
+from a store of earlier nodes, read as conjugates below the axis, do not
+depend on history.
 """
 from __future__ import annotations
 
@@ -60,12 +65,16 @@ _ROT_M = cmath.exp(-2j * cmath.pi / 3.0)
 
 _SERIES_ONLY_RADIUS = 4.5   # below: series alone suffices
 _SERIES_MAX_RADIUS = 9.0    # above: asymptotics alone; in between: take the better
-# |arg z| > 2 pi/3 + 1e-14  <=>  Re z < 0 and |Im z| < -Re z * _SLOPE
+# |arg z| > 2 pi/3 + 1e-14  <=>  |Im z| < -Re z * _SLOPE (so Re z < 0)
 _SLOPE = math.tan(math.pi / 3.0 - 1e-14)
 
 _DEFAULT_TARGET = 1e-12
 #: points per block, which bounds the kernel's working arrays
-_BLOCK = 64
+_BLOCK = 256
+#: term rows a block with asymptotic points builds first: every point tried
+#: stops within 41 (the most are needed near |z| = 9.4), and a block with a
+#: point that has not is summed again over all _U.size rows
+_ROWS = 41
 
 #: series radius bands and the index of the last term summed in each
 _BAND_RADII = np.array([1.0, 2.0, 3.0, 4.5, 6.0, 7.5, 9.0])
@@ -131,12 +140,14 @@ def _exact_sum(t: np.ndarray) -> np.ndarray:
     t on the grid of multiples of eps sigma, and t - q is exact.  Every
     partial sum of the q is on that grid and below 2^53 steps, so sum q is
     exact in any order; the low parts t - q, each at most eps sigma, are
-    added in sequence.
+    added in sequence.  t is overwritten.
     """
     r = t.view(np.float64)
     sigma = np.ldexp(1.0, np.frexp(np.abs(r).max(axis=0))[1] + 7)
-    q = (sigma + r) - sigma
-    return (q.sum(axis=0) + np.cumsum(r - q, axis=0)[-1]).view(t.dtype)
+    q = sigma + r
+    q -= sigma
+    r -= q
+    return (q.sum(axis=0) + np.add.reduce(r, axis=0)).view(t.dtype)
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
@@ -162,15 +173,17 @@ def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
     truncated optimally on their first series: before the first term that
     does not decrease, or after the first below 1e-18 of the partial sum;
     where neither comes, the last term is summed and also counted as the
-    first omitted one.  Returns the sums, the magnitude sums, |x|^last and
-    the first omitted magnitude.
+    first omitted one.  Returns the sums, the magnitude sums, |x|^last, the
+    first omitted magnitude, and whether every point from `free` on
+    stopped within the terms given.  coef and mag are overwritten.
     """
     n, cols = coef.shape[0], np.arange(x.size)
     p = _powers(x, n)
-    t = p[:, None, :] * coef
+    t = np.multiply(p[:, None, :], coef, out=coef)
     pr = np.abs(p)
-    at = pr[:, None, :] * mag
+    at = np.multiply(pr[:, None, :], mag, out=mag)
     trunc = np.zeros(x.size)
+    stopped = True
     if free < x.size:
         atu = at[1:, 0, free:]
         grows = np.zeros(atu.shape, bool)
@@ -179,13 +192,15 @@ def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
         j = stop.argmax(axis=0)
         k = cols[:j.size]
         hit = stop[j, k]
+        stopped = bool(hit.all())
         last[free:] = np.where(hit, j + ~grows[j, k], n - 1)
         trunc[free:] = np.where(hit, atu[j, k], atu[-1])
     m = int(last.max()) + 1
-    keep = (np.arange(m)[:, None] <= last)[:, None, :]
-    return (_exact_sum(np.where(keep, t[:m], 0.0)),
-            np.cumsum(np.where(keep, at[:m], 0.0), axis=0)[-1],
-            pr[last, cols], trunc)
+    t, at = t[:m], at[:m]
+    drop = (np.arange(m)[:, None] > last)[:, None, :]
+    np.copyto(t, 0.0, where=drop)
+    np.copyto(at, 0.0, where=drop)
+    return _exact_sum(t), np.add.reduce(at, axis=0), pr[last, cols], trunc, stopped
 
 
 def _asymptotic_values(zeta, q, s, a, trunc):
@@ -222,64 +237,72 @@ def _block(z: np.ndarray):
     r = np.hypot(z.real, z.imag)      # libm hypot: the same |z| as abs()
     near = np.flatnonzero(r <= _SERIES_MAX_RADIUS)
     far = r > _SERIES_ONLY_RADIUS
-    left = far & (z.real < 0.0) & (np.abs(z.imag) < -z.real * _SLOPE)
+    left = far & (np.abs(z.imag) < -z.real * _SLOPE)
     sec, rot = np.flatnonzero(far & ~left), np.flatnonzero(left)
     za = z[sec]
     if rot.size:
         za = np.concatenate([za, z[rot] * _ROT_M, z[rot] * _ROT_P])
     ns, na = near.size, za.size
 
-    # series rows: Ai = sum z^{3n} (c0 + c1 z), Ai' = sum z^{3n} (c2 + c3 z^2)
     zs, rs = z[near], r[near]
     rs2, z2 = rs * rs, zs * zs
     band = _BAND_LAST[np.searchsorted(_BAND_RADII, rs)]
-    n = _U.size if na else int(band.max(initial=-1)) + 1
-    c = _SER[:, :n, None]
-    coef = np.empty((n, 2, ns + na), complex)
-    mag = np.empty(coef.shape)
-    coef[:, 0, :ns] = c[0] + c[1] * zs
-    coef[:, 1, :ns] = c[2] + c[3] * z2
-    c = np.abs(c)
-    mag[:, 0, :ns] = c[0] + c[1] * rs
-    mag[:, 1, :ns] = c[2] + c[3] * rs2
-    # asymptotic rows: sum u_k (-zeta)^{-k}, sum v_k (-zeta)^{-k}
     w = np.sqrt(za)
     q = np.sqrt(w)                    # z^{1/4}, principal branch
     zeta = _TWO_THIRDS * za * w
-    over = -zeta.real > 705.0
+    over = zeta.real < -705.0
     zeta[over] = 1.0                  # keeps exp finite on rows thrown away
-    coef[:, :, ns:] = _UV[:n]
-    mag[:, :, ns:] = np.abs(_UV[:n])
-
     x = np.concatenate([z2 * zs, -1.0 / zeta])
     last = np.concatenate([band, np.zeros(na, int)])
-    s, a, xn, trunc = _sums(x, coef, mag, last, ns)
+    # the rows the block needs: its series bands' terms and, with asymptotic
+    # points, _ROWS; all rows only if one of those has not stopped within them
+    rows = int(band.max(initial=-1)) + 1
+    if na:
+        rows = max(rows, _ROWS)
+    for n in (rows, _U.size):
+        # series rows: Ai = sum z^{3n} (c0 + c1 z), Ai' = sum z^{3n} (c2 + c3 z^2);
+        # asymptotic rows: sum u_k (-zeta)^{-k}, sum v_k (-zeta)^{-k}
+        c = _SER[:, :n, None]
+        coef = np.empty((n, 2, ns + na), complex)
+        mag = np.empty(coef.shape)
+        coef[:, 0, :ns] = c[0] + c[1] * zs
+        coef[:, 1, :ns] = c[2] + c[3] * z2
+        c = np.abs(c)
+        mag[:, 0, :ns] = c[0] + c[1] * rs
+        mag[:, 1, :ns] = c[2] + c[3] * rs2
+        coef[:, :, ns:] = _UV[:n]
+        mag[:, :, ns:] = np.abs(_UV[:n])
+        s, a, xn, trunc, stopped = _sums(x, coef, mag, last, ns)
+        if stopped:
+            break
 
-    # series: tail 2 max |last term| of f, g, f', g' (ratio below 1/2),
-    # rounding 4 eps on each magnitude sum
     ai = np.zeros(z.size, complex)
     aip = np.zeros(z.size, complex)
     bnd = np.full(z.size, np.inf)
-    one = np.ones(ns)
-    tail = (_AI0 + abs(_AIP0)) * 2.0 * (
-        xn[:ns] * _SER_MAG[:, band] * np.stack([one, rs, rs2, one])).max(axis=0)
-    e = tail + 4.0 * _EPS * a[:, :ns] + 2.0 * _EPS * np.abs(s[:, :ns])
-    ai[near], aip[near] = s[:, :ns]
-    bnd[near] = np.maximum(e[0], e[1])
-
-    # the asymptotic candidate wins where its bound is smaller
-    ca, cap, e_a, e_ap = _asymptotic_values(zeta, q, s[:, ns:], a[:, ns:], trunc[ns:])
-    cb, lost, idx = np.maximum(e_a, e_ap), over, sec
-    if rot.size:
-        k = sec.size
-        ra, rap, rb = _rotated(ca, cap, e_a, e_ap, k)
-        ca, cap = np.concatenate([ca[:k], ra]), np.concatenate([cap[:k], rap])
-        cb = np.concatenate([cb[:k], rb])
-        lost = np.concatenate([over[:k], over[k:k + rot.size] | over[k + rot.size:]])
-        idx = np.concatenate([sec, rot])
-    win = ~lost & (cb < bnd[idx])
-    idx = idx[win]
-    ai[idx], aip[idx], bnd[idx] = ca[win], cap[win], cb[win]
+    if ns:
+        # series: tail 2 max |last term| of f, g, f', g' (ratio below 1/2),
+        # rounding 4 eps on each magnitude sum
+        lt = xn[:ns] * _SER_MAG[:, band]
+        lt[1] *= rs
+        lt[2] *= rs2
+        tail = (_AI0 + abs(_AIP0)) * 2.0 * lt.max(axis=0)
+        e = tail + 4.0 * _EPS * a[:, :ns] + 2.0 * _EPS * np.abs(s[:, :ns])
+        ai[near], aip[near] = s[:, :ns]
+        bnd[near] = np.maximum(e[0], e[1])
+    if na:
+        # the asymptotic candidate wins where its bound is smaller
+        ca, cap, e_a, e_ap = _asymptotic_values(zeta, q, s[:, ns:], a[:, ns:], trunc[ns:])
+        cb, lost, idx = np.maximum(e_a, e_ap), over, sec
+        if rot.size:
+            k = sec.size
+            ra, rap, rb = _rotated(ca, cap, e_a, e_ap, k)
+            ca, cap = np.concatenate([ca[:k], ra]), np.concatenate([cap[:k], rap])
+            cb = np.concatenate([cb[:k], rb])
+            lost = np.concatenate([over[:k], over[k:k + rot.size] | over[k + rot.size:]])
+            idx = np.concatenate([sec, rot])
+        win = ~lost & (cb < bnd[idx])
+        idx = idx[win]
+        ai[idx], aip[idx], bnd[idx] = ca[win], cap[win], cb[win]
 
     real = np.flatnonzero(z.imag == 0.0)
     if real.size:
@@ -288,10 +311,12 @@ def _block(z: np.ndarray):
         ai[real] = ai[real].real
         aip[real] = aip[real].real
     bad = ~(np.isfinite(ai) & np.isfinite(aip) & np.isfinite(bnd))
-    ai[bad], aip[bad], bnd[bad] = np.inf, 0.0, 0.0
-    # Ai does not overflow in |arg z| < pi/3; a point there fails only where
-    # |z|^(3/2) overflows (|z| beyond about 1e205), and there Ai underflows
-    ai[bad & (np.abs(np.angle(z)) < math.pi / 3.0)] = 0.0
+    if bad.any():
+        ai[bad], aip[bad], bnd[bad] = np.inf, 0.0, 0.0
+        # Ai does not overflow in |arg z| < pi/3; a point there fails only
+        # where |z|^(3/2) overflows (|z| beyond about 1e205), and there Ai
+        # underflows
+        ai[bad & (np.abs(np.angle(z)) < math.pi / 3.0)] = 0.0
     return ai, aip, bnd
 
 

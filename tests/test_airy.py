@@ -5,6 +5,7 @@ frozen here so the suite does not silently drift with the oracle.
 """
 
 import cmath
+import hashlib
 import math
 import warnings
 
@@ -318,13 +319,59 @@ points = st.one_of(
 )
 
 
+# a point in each series band (series only up to |z| = 4.5, both
+# candidates beyond), and asymptotic points that need 41 terms (|z| about
+# 9.4), in the sector and rotated
+MIXED = ([0.5j, 1.5 + 0.5j, -2.5, 4.0j, 5.5 - 1.0j, 7.0j, -8.9]
+         + [9.4 * cmath.exp(1j * a) for a in (0.0, 1.2, -2.0, 2.5, math.pi)])
+
+
 @given(st.lists(points, min_size=1, max_size=150))
 @settings(max_examples=40, deadline=None)
 def test_batch_results_match_single_points(zs):
-    ai, aip, bnd = airy._ai_kernel(np.array(zs, dtype=complex))
+    # the batch spans more than one block; with 17 term rows first, every
+    # block holding an asymptotic point that stops later is summed again
+    # over all rows, and its points must keep their single-point bits too
+    zs = MIXED + zs
+    batch = np.array(zs * (airy._BLOCK // len(zs) + 1), dtype=complex)
+    results = [airy._ai_kernel(batch)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(airy, "_ROWS", 17)
+        results.append(airy._ai_kernel(batch))
     for i, z in enumerate(zs):
-        one = airy._ai_kernel(np.array([z]))
-        assert _bits(*one) == _bits(ai[i:i + 1], aip[i:i + 1], bnd[i:i + 1]), z
+        one = _bits(*airy._ai_kernel(np.array([z])))
+        for ai, aip, bnd in results:
+            for j in range(i, batch.size, len(zs)):
+                assert one == _bits(ai[j:j + 1], aip[j:j + 1], bnd[j:j + 1]), z
+
+
+# one point set on every regime and marker: EDGES, both sides of each
+# series band radius, the overlap, asymptotic and rotation regimes, the
+# real axis, overflow and underflow, and the nodes of three contour lines
+# at h = 1/16 on |y| <= 24
+DIGEST_POINTS = np.concatenate([
+    np.array(EDGES),
+    [r * f * cmath.exp(1.1j) for r in (1.0, 2.0, 3.0, 4.5, 6.0, 7.5, 9.0)
+     for f in (1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40)],
+    [3.0 + 2.0j, 5.0 - 6.0j, 6.0j, -3.0 + 5.0j, 7.0, 9.4 * cmath.exp(1.2j),
+     12.0 + 5.0j, 30j, 100.0, 20.0 - 15.0j, -6.0 - 2.0j, -12.0 + 1.0j, -20.0 - 3.0j, -50.0],
+    np.arange(-48, 49) / 4.0 + 0j,
+    [140j, -140j, 120.0 * cmath.exp(1j * _THIRD), 1e155j, -1e200, 1e200,
+     1e250 * cmath.exp(0.5j)],
+    *(x + 1j * np.arange(-384, 385) / 16.0 for x in (0.0, -1.338, 3.66)),
+])
+# SHA-256 of the (ai, aip, bnd) bytes at DIGEST_POINTS, frozen from the
+# kernel that summed all 61 terms of every asymptotic point in blocks of
+# 64; the sizing of rows and blocks may change the time, never a bit.
+# Computed with numpy 2.4 on x86-64 Linux: another numpy build or libm may
+# round a last bit differently, and then the digest must be recomputed
+# there from that older kernel, not from the current one
+KERNEL_DIGEST = "4ee1d1028bb00e5624230e60fa97b12b391c3341235388cf0cfb2717e9b0e8cb"
+
+
+def test_kernel_bits_frozen():
+    digest = hashlib.sha256(b"".join(_bits(*airy._ai_kernel(DIGEST_POINTS))))
+    assert digest.hexdigest() == KERNEL_DIGEST
 
 
 @given(st.lists(points, min_size=1, max_size=100))
