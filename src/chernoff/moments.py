@@ -25,17 +25,18 @@ h times the pointwise Airy bounds, 20 eps * h sum |F| for rounding, and
 that tail.  A line integral rests on at most _LINE_NODES Airy-evaluated
 nodes, a density table on _DENSITY_NODES; `panels_used` counts them.
 
-All but `moment_by_parts` and the density are one integral,
+All but the density are one integral,
 
-    I(p, t) = (1/2 pi i) * int p(z) / (Ai(z) Ai(z + t)) dz.
+    I(P, t) = (1/2 pi i) * int P(z, r) / (Ai(z) Ai(z + t)) dz,  r = Ai'/Ai.
 
 At the canonical gamma = 1/sqrt(2) (so 2 gamma^2 = 1) E V^n = I(p_n, 0),
 and general gamma rescales by 2^{-n/3} gamma^{-2n/3}; E M_gamma =
 -2^{-2/3} gamma^{-1/3} I(z, 0), so E V_gamma^2 = E M_gamma / (3 gamma)
 ties the two together; the mgf is I(1, t) (Groeneboom, PTRF 81, 1989)
-and the cf I(1, i t).  One cache, keyed by p's float coefficients, t and
-the contour, holds every I; the zero polynomial (every odd moment) gives
-0 without a table.
+and the cf I(1, i t).  Only `moment_by_parts` brings in r: each split
+(-1)^j (d^j 1/Ai)(d^k 1/Ai) is P(z, r) / Ai^2.  One cache, keyed by P's
+float coefficients (one row per power of r), t and the contour, holds
+every I; the zero polynomial (every odd moment) gives 0 without a table.
 """
 from __future__ import annotations
 
@@ -62,8 +63,8 @@ _SQRT2 = math.sqrt(2.0)
 
 #: gamma with 2 gamma^2 = 1; all transform formulas are stated at this scale
 CANONICAL_GAMMA = 1.0 / _SQRT2
-#: the float key of the polynomial z, the expected maximum's integrand
-_Z_COEFFS = (0.0, 1.0)
+#: the one-row key of the polynomial z, the expected maximum's integrand
+_Z_ROWS = ((0.0, 1.0),)
 
 #: the first truncation height Y of every quadrature; Y doubles from here
 _START_HEIGHT = 12.0
@@ -293,24 +294,6 @@ def _trapezoid(sums, lines: int, h: float, budget: int, tol_of):
             h *= 0.5
 
 
-def _line_integral(integrand, origins: tuple, spec: ContourSpec):
-    """int F dy with F = integrand(*tables), one table per line
-    Re z = Re c through each origin c; returns (value, err, nodes)."""
-    h0 = _first_step(min(c.real for c in origins) - airy_zero(1), spec.rel_tol)
-
-    def sums(h, y):
-        f, e = integrand(*(_node_table(c, h, 2.0 * y) for c in origins))
-        k = np.arange(f.size) - f.size // 2
-        w = np.abs(f)
-        return (h * f.sum(), 2.0 * h * f[k % 2 == 0].sum(), h * e.sum(), h * w.sum(),
-                _tail(w + e, k, h, y))
-
-    # a non-finite integrand raises in _trapezoid, without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _trapezoid(sums, len(origins), h0, _LINE_NODES,
-                          lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
-
-
 def contour_integral_inv_ai2(poly: RationalPoly,
                              contour: Optional[ContourSpec] = None) -> QuadResult:
     """(1/2 pi i) * int p(z) / Ai(z)^2 dz along Re z = sigma.
@@ -320,39 +303,58 @@ def contour_integral_inv_ai2(poly: RationalPoly,
     """
     if not isinstance(poly, RationalPoly):
         raise TypeError("poly must be a RationalPoly")
-    return _real(_ai_product_integral(tuple(poly.float_coeffs()), 0, _spec(contour)), 1.0)
+    return _real(_ai_product_integral((tuple(poly.float_coeffs()),), 0, _spec(contour)), 1.0)
 
 
 @lru_cache(maxsize=128)
 def _moment_coeffs(n: int) -> tuple:
-    """The float key of p_n, built once per order."""
-    return tuple(algebra.moment_polynomial(n).float_coeffs())
+    """The one-row key of p_n, built once per order."""
+    return (tuple(algebra.moment_polynomial(n).float_coeffs()),)
 
 
 @lru_cache(maxsize=256)
-def _ai_product_integral(coeffs: tuple, t: complex, spec: ContourSpec):
-    """int p(z) / (Ai(z) Ai(z + t)) dy on Re z = spec.sigma, p given by its
-    ascending float coefficients: the raw (value, err, nodes), 2 pi times
-    I(p, t).  At t = 0 one table serves both factors; otherwise the second
-    is read on the line through sigma + t.  A constant p is its one
-    coefficient, and the zero polynomial gives 0 without a table."""
-    if not any(coeffs):
+def _ai_product_integral(rows: tuple, t: complex, spec: ContourSpec):
+    """int P(z, r) / (Ai(z) Ai(z + t)) dy on Re z = spec.sigma, r = Ai'/Ai:
+    the raw (value, err, nodes), 2 pi times I(P, t).  Row b of P holds the
+    ascending float z-coefficients of r^b; a polynomial in z alone is one
+    row, and a constant its one coefficient.  At t = 0 one table serves
+    both factors; otherwise the second is read on the line through
+    sigma + t.  The zero polynomial gives 0 without a table."""
+    terms = [(b, row) for b, row in enumerate(rows) if any(row)]
+    if not terms:
         return 0j, 0.0, 0
     c = complex(spec.sigma)
+    origins = (c,) if t == 0 else (c, c + t)
 
-    def f(tab: _Table, shifted: Optional[_Table] = None):
+    def sums(h, y):
+        tab, *shifted = (_node_table(o, h, 2.0 * y) for o in origins)
         inv0, rel0 = tab.reciprocal()
-        inv1, rel1 = (inv0, rel0) if shifted is None else shifted.reciprocal()
-        p = coeffs[0] if len(coeffs) == 1 else np.polyval(coeffs[::-1], tab.z)
-        val = p * inv0 * inv1
-        return val, np.abs(val) * (rel0 + rel1)
+        inv1, rel1 = shifted[0].reciprocal() if shifted else (inv0, rel0)
+        f = e = None
+        for b, row in terms:
+            p = row[0] if len(row) == 1 else np.polyval(row[::-1], tab.z)
+            rel = rel0 + rel1
+            if b:       # r = Ai'/Ai stays moderate where Ai' ** b would overflow
+                p = p * (tab.aip * inv0) ** b
+                rel = rel + b * (rel0 + tab.bnd / np.maximum(np.abs(tab.aip), 1e-300))
+            val = p * inv0 * inv1
+            err = np.abs(val) * rel
+            f, e = (val, err) if f is None else (f + val, e + err)
+        k = tab.k
+        w = np.abs(f)
+        return (h * f.sum(), 2.0 * h * f[k % 2 == 0].sum(), h * e.sum(), h * w.sum(),
+                _tail(w + e, k, h, y))
 
-    val, err, nodes = _line_integral(f, (c,) if t == 0 else (c, c + t), spec)
+    h0 = _first_step(min(o.real for o in origins) - airy_zero(1), spec.rel_tol)
+    # a non-finite integrand raises in _trapezoid, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, err, nodes = _trapezoid(sums, len(origins), h0, _LINE_NODES,
+                                     lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
     return complex(val), float(err), nodes
 
 
 def _real(raw: tuple, scale: float) -> QuadResult:
-    """scale * I from the raw triple of a real p: the imaginary part, zero
+    """scale * I from the raw triple of a real P: the imaginary part, zero
     in exact arithmetic, is folded into the error estimate."""
     val, err, nodes = raw
     return QuadResult(scale * (val.real / _TWO_PI),
@@ -396,47 +398,44 @@ def moment(n: int, gamma: float = CANONICAL_GAMMA,
     return moment_quad(n, gamma, contour).value
 
 
+@lru_cache(maxsize=128)
+def _by_parts_rows(j: int, k: int) -> tuple:
+    """The key of P(z, r) = (-1)^j (d^j 1/Ai)(d^k 1/Ai) Ai^2, r = Ai'/Ai.
+    Each factor's terms have ell = k + 1, so each term of the product is
+    c z^a r^b / Ai^2, coefficient a of row b.  No row ends in a zero and
+    the last row is not empty, so for even j + k the splits (j, k) and
+    (k, j) share one key."""
+    sign = -1 if j % 2 else 1
+    rows: list[list[float]] = []
+    for t, c in algebra.term_sum_product(
+            algebra.inv_ai_derivative(j), algebra.inv_ai_derivative(k)).items():
+        assert t.ell - t.k == 2, t
+        rows += [[] for _ in range(t.k + 1 - len(rows))]
+        rows[t.k] += [0.0] * (t.j + 1 - len(rows[t.k]))
+        rows[t.k][t.j] = float(sign * c)
+    return tuple(map(tuple, rows))
+
+
 def moment_by_parts(j: int, k: int,
                     contour: Optional[ContourSpec] = None) -> float:
     """E V^{j+k} at canonical gamma via the split integrand
-
-        (-1)^j (d^j 1/Ai) (d^k 1/Ai),
-
-    an independent route to the same number for every split j + k = n.
-    """
+    (-1)^j (d^j 1/Ai)(d^k 1/Ai) = P(z, Ai'/Ai) / Ai^2, an independent route
+    to the same number for every split j + k = n, cached like every I.
+    The splits cancel, so the Airy bounds often exceed a tight tolerance:
+    of the 120 splits with n <= 14, 14 return at the default rel_tol 1e-10
+    (all for n = 0, 2, 4, and (5, 1) to (1, 5)), 23 at 1e-8 and 55 at 1e-5,
+    and the rest raise NoConvergence.  Every odd split raises at 1e-10: its
+    value 0 meets no relative tolerance (ROADMAP item 1, abs_tol, would)."""
     j = _validate_order(j)
     k = _validate_order(k)
-    spec = _spec(contour)
-    prod = algebra.term_sum_product(
-        algebra.inv_ai_derivative(j), algebra.inv_ai_derivative(k))
-    terms = [(t.j, t.k, t.ell, float(c)) for t, c in prod.items()]
-    sign = -1.0 if j % 2 else 1.0
-
-    def f(tab: _Table):
-        # each piece is c z^jj (Ai'/Ai)^kk / Ai^(ell - kk): Ai'/Ai stays
-        # moderate where Ai' ** kk would overflow, and 1/Ai = 0 where Ai
-        # overflowed zeroes the piece
-        inv, rel = tab.reciprocal()
-        z, aip = tab.z, tab.aip
-        ratio = aip * inv
-        rel_p = tab.bnd / np.maximum(np.abs(aip), 1e-300)
-        val = np.zeros(z.shape, complex)
-        err = np.zeros(z.shape)
-        for jj, kk, ell, c in terms:
-            piece = c * z ** jj * ratio ** kk * inv ** (ell - kk)
-            val += piece
-            err += np.abs(piece) * (kk * rel_p + ell * rel)
-        return sign * val, err
-
-    val, _, _ = _line_integral(f, (complex(spec.sigma),), spec)
-    return float(val.real) / _TWO_PI
+    return _real(_ai_product_integral(_by_parts_rows(j, k), 0, _spec(contour)), 1.0).value
 
 
 def mean_max_quad(gamma: float = CANONICAL_GAMMA,
                   contour: Optional[ContourSpec] = None) -> QuadResult:
     """E M_gamma = -2^{-2/3} gamma^{-1/3} (1/2 pi i) int z/Ai(z)^2 dz."""
     gamma = _validate_gamma(gamma)
-    return _real(_ai_product_integral(_Z_COEFFS, 0, _spec(contour)),
+    return _real(_ai_product_integral(_Z_ROWS, 0, _spec(contour)),
                  -(2.0 ** (-2.0 / 3.0)) * gamma ** (-1.0 / 3.0))
 
 
@@ -472,7 +471,7 @@ def mgf_quad(t: complex, contour: Optional[ContourSpec] = None) -> QuadResult:
         raise ContourTooLeft(
             f"need sigma + Re t > a_1; got sigma = {spec.sigma}, Re t = {t.real}, "
             f"a_1 = {airy_zero(1):.6f}")
-    val, err, nodes = _ai_product_integral((1.0,), t, spec)
+    val, err, nodes = _ai_product_integral(((1.0,),), t, spec)
     return QuadResult(val / _TWO_PI, err / _TWO_PI, nodes)
 
 

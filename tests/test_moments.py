@@ -12,6 +12,7 @@ At the TAIL_POINTS the pointwise Airy bounds alone exceed the default
 are checked on TAIL_CONTOUR instead.
 """
 
+import hashlib
 import math
 import sys
 import warnings
@@ -26,6 +27,7 @@ import pytest
 from chernoff import airy, moments
 from chernoff import (
     CANONICAL_GAMMA,
+    ChernoffError,
     ContourSpec,
     ContourTooLeft,
     NoConvergence,
@@ -206,6 +208,50 @@ def test_moment_validation():
             moment(2, gamma=bad)
 
 
+def _one_row_battery():
+    """(label, request) for E V^0..20, E M at 3 gammas, 4 cf, 4 mgf and
+    one int p/Ai^2, each at sigma 0 and 0.5 and rel_tol 1e-10 and 1e-13."""
+    cubic = RationalPoly({0: Fraction(-2), 3: Fraction(1)})
+    for sigma in (0.0, 0.5):
+        for rel_tol in (1e-10, 1e-13):
+            spec = ContourSpec(sigma=sigma, rel_tol=rel_tol)
+            at = f" sigma={sigma} rel_tol={rel_tol}"
+            for n in range(21):
+                yield f"E V^{n}" + at, lambda n=n: moment_quad(n, contour=spec)
+            for g in (CANONICAL_GAMMA, 1.0, 2.0):
+                yield f"E M gamma={g}" + at, lambda g=g: mean_max_quad(g, spec)
+            for t in (0.25, 1.0, 3.5, 7.25):
+                yield f"cf {t}" + at, lambda t=t: char_fn_quad(t, spec)
+            for t in (-3.0, -1.0, 0.5, 2.0):
+                yield f"mgf {t}" + at, lambda t=t: mgf_quad(t, spec)
+            yield "z^3 - 2" + at, lambda: contour_integral_inv_ai2(cubic, spec)
+
+
+# SHA-256 over each request's label and either its value, err_estimate and
+# panels_used bytes or its exception type and message; frozen before the
+# integral took rows in r = Ai'/Ai, since keys with more rows must not move
+# a bit of any one-row result.  Computed with numpy 2.4 on x86-64
+# Linux, like KERNEL_DIGEST in test_airy.py: another numpy build or libm may
+# round a last bit differently, and then the digest must be recomputed
+# there from that older code
+ONE_ROW_DIGEST = "43e8b967d693851730af3e36d63638ba388da437eee4d85480f66cc2e02f253b"
+
+
+def test_one_row_results_bits_frozen():
+    moments._ai_product_integral.cache_clear()
+    digest = hashlib.sha256()
+    for label, request in _one_row_battery():
+        digest.update(label.encode())
+        try:
+            q = request()
+        except ChernoffError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            for v in (q.value, q.err_estimate, q.panels_used):
+                digest.update(np.asarray(v).tobytes())
+    assert digest.hexdigest() == ONE_ROW_DIGEST
+
+
 # ---------------------------------------------------------------- by parts
 
 
@@ -222,7 +268,9 @@ def test_by_parts_splits():
 
 
 def test_by_parts_high_order_is_typed():
-    # Ai'^7 overflowed at far nodes: "integrand not finite" and a RuntimeWarning
+    # the split (7, 7) cancels below its Airy bounds, so it raises the typed
+    # bound-floor NoConvergence; r = Ai'/Ai keeps every far node finite, so
+    # no RuntimeWarning either
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
@@ -231,6 +279,43 @@ def test_by_parts_high_order_is_typed():
             assert "Airy bounds and rounding exceed the tolerance" in str(exc)
         else:
             assert abs(v - ORACLE_EV[14]) <= default_contour().rel_tol * ORACLE_EV[14]
+
+
+def test_by_parts_reads_the_cache(monkeypatch):
+    # a repeated split gathers no table, and for even n the split (1, 3)
+    # builds the same P(z, r) as (3, 1), so it gathers none either
+    moments._ai_product_integral.cache_clear()
+    steps = _count_gather_steps(monkeypatch)
+    v = moment_by_parts(3, 1)
+    assert steps
+    steps.clear()
+    assert moment_by_parts(3, 1) == v and steps == []
+    assert moment_by_parts(1, 3) == v and steps == []
+    assert moments._by_parts_rows(1, 3) == moments._by_parts_rows(3, 1)
+
+
+# by-parts splits with n <= 8 that return at each rel_tol (measured when
+# the route joined the cached integral; more may return, none fewer)
+BY_PARTS_RETURNED = {1e-5: 37, 1e-8: 23, 1e-10: 14}
+
+
+@pytest.mark.parametrize("rel_tol", sorted(BY_PARTS_RETURNED))
+def test_by_parts_error_covers_oracle(rel_tol):
+    # the error is read from the cached raw triple, since moment_by_parts
+    # returns a bare float; odd moments are 0
+    spec = ContourSpec(rel_tol=rel_tol)
+    returned = 0
+    for n in range(9):
+        for k in range(n + 1):
+            try:
+                raw = moments._ai_product_integral(moments._by_parts_rows(n - k, k), 0, spec)
+            except NoConvergence:
+                continue
+            q = moments._real(raw, 1.0)
+            returned += 1
+            assert abs(q.value - ORACLE_EV.get(n, 0.0)) <= q.err_estimate, (n - k, k)
+            assert moment_by_parts(n - k, k, spec) == q.value
+    assert returned >= BY_PARTS_RETURNED[rel_tol]
 
 
 # ---------------------------------------------------------------- mean max
