@@ -351,8 +351,12 @@ def airy_ai(z, target_abs_err: float = _DEFAULT_TARGET) -> AiryEval:
 
     Raises AccuracyUnreachable if the tracked bound exceeds `target_abs_err`
     (e.g. huge |Ai| on the imaginary axis cannot meet a small absolute
-    target in doubles) and OverflowDomain if the value itself overflows.
-    On the real axis the returned imaginary parts are exactly zero.
+    target in doubles) and OverflowDomain if the value itself overflows,
+    that is where Re zeta < -705, zeta = (2/3) z^{3/2}.  Where the kernel
+    fails elsewhere (far out on the negative axis, where the rotation
+    identity's two terms overflow but Ai is small) it raises
+    AccuracyUnreachable.  On the real axis the returned imaginary parts are
+    exactly zero.
     """
     if not (isinstance(target_abs_err, (int, float)) and not isinstance(target_abs_err, bool)
             and math.isfinite(target_abs_err) and target_abs_err > 0.0):
@@ -362,7 +366,15 @@ def airy_ai(z, target_abs_err: float = _DEFAULT_TARGET) -> AiryEval:
     zc = complex(z)
     ai, aip, bnd = _ai_kernel(np.array([zc]))
     if np.isinf(ai[0]):
-        raise OverflowDomain(f"Ai({zc!r}) overflows double precision")
+        # zeta as the kernel forms it, at the mirror image above the axis;
+        # at -1e300 its imaginary part overflows, but not its real part
+        za = np.array([complex(zc.real, abs(zc.imag))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            re_zeta = (_TWO_THIRDS * za * np.sqrt(za)).real[0]
+        if not re_zeta >= -705.0:
+            raise OverflowDomain(f"Ai({zc!r}) overflows double precision")
+        raise AccuracyUnreachable(
+            f"Ai({zc!r}): the rotation identity's terms overflow, though Ai does not")
     bound = float(bnd[0])
     if bound > target_abs_err:
         raise AccuracyUnreachable(

@@ -6,24 +6,28 @@ lines z = sigma + i y right of all Airy zeros.  F is analytic in the strip
 trapezoidal rule converges geometrically in 1/h (Trefethen & Weideman,
 "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
 
-Ai, Ai' and their error bounds are cached per line Re z = x, by |Im z|:
-a table at the nodes z = c + i k h, |k h| <= 2Y, is gathered from its
-line's store, reading nodes below the real axis as conjugates, and only
-ordinates the store lacks are evaluated.  All moments, E M, the identity
-suite, the density and the cf read the sigma = 0 line, and the mgf adds
-the line through sigma + t.  The cf is the mgf at i t on the caller's
-contour, so its shifted factor Ai(z + i t) lies on that same line.  On a
-strip of half-width a the error of T_h falls like e^{-2 pi a/h}, so h
+Each node is cached per line Re z = x, by |Im z|, in the form the
+integrands read: 1/Ai, the relative bound bnd/|Ai|, r = Ai'/Ai and
+bnd/|Ai'|, formed once when the node is evaluated, and all 0 where Ai
+overflows.  A table at the nodes z = c + i k h, |k h| <= 2Y, is gathered
+from its line's store, reading nodes below the real axis as conjugates,
+and only ordinates the store lacks are evaluated.  All moments, E M, the
+identity suite, the density and the cf read the sigma = 0 line, and the
+mgf adds the line through sigma + t.  The cf is the mgf at i t on the
+caller's contour, so its shifted factor Ai(z + i t) lies on that same line.
+On a strip of half-width a the error of T_h falls like e^{-2 pi a/h}, so h
 starts at the largest power of two at or below min(a, 2 pi a / ln(1/tol)):
 no coarser step could pass the first check (see `_first_step`), and dyadic
 steps and quarter-integer shifts land on shared ordinates.  h is then
 halved, reusing the coarser nodes, until the error meets
 rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at _START_HEIGHT and
-doubles until the octave Y < |y| <= 2Y bounds what lies beyond 2Y.  The
-error adds |T_h - T_2h| (T_2h from the even nodes of the same table),
-h times the pointwise Airy bounds, 20 eps * h sum |F| for rounding, and
-that tail.  A line integral rests on at most _LINE_NODES Airy-evaluated
-nodes, a density table on _DENSITY_NODES; `panels_used` counts them.
+doubles until the octave Y < |y| <= 2Y bounds what lies beyond 2Y.  One
+line sum, `_trapezoid`, gathers the tables and charges every error; each
+integrand only says what a node contributes.  The error adds |T_h - T_2h|
+(T_2h from the even nodes of the same table), h times the pointwise Airy
+bounds, 20 eps * h sum |F| for rounding, and that tail.  A line integral
+rests on at most _LINE_NODES Airy-evaluated nodes, a density table on
+_DENSITY_NODES; `panels_used` counts them.
 
 All but the density are one integral,
 
@@ -119,63 +123,40 @@ class QuadResult:
     panels_used: int
 
 
-@dataclass(frozen=True, eq=False)
-class _Table:
-    """Ai, Ai' and their bound at z = origin + i k h for |k| <= m."""
-
-    origin: complex
-    h: float
-    m: int
-    ai: np.ndarray
-    aip: np.ndarray
-    bnd: np.ndarray
-
-    @property
-    def k(self) -> np.ndarray:
-        return np.arange(-self.m, self.m + 1)
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.origin + 1j * self.h * self.k
-
-    def reciprocal(self):
-        """1/Ai and the relative bound bnd/|Ai|, both 0 where Ai overflowed."""
-        finite = np.isfinite(self.ai)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(finite, 1.0 / self.ai, 0.0)
-            rel = np.where(finite, self.bnd / np.abs(self.ai), 0.0)
-        return inv, rel
-
-
 class _Line(NamedTuple):
-    """Ai, Ai' and their bound at z = x + i y on one line Re z = x, for the
-    sorted ordinates y >= 0 evaluated there so far."""
+    """What every integrand reads at z = x + i y on one line Re z = x, for
+    the sorted ordinates y >= 0 evaluated there so far: 1/Ai, the relative
+    bound bnd/|Ai|, r = Ai'/Ai and bnd/|Ai'|, all four 0 where Ai overflowed."""
 
     y: np.ndarray
-    ai: np.ndarray
-    aip: np.ndarray
-    bnd: np.ndarray
+    inv: np.ndarray
+    rel: np.ndarray
+    r: np.ndarray
+    rel_r: np.ndarray
 
 
-#: cap on the nodes held by all cached lines together (48 bytes each)
+#: cap on the nodes held by all cached lines together (56 bytes each)
 _TABLE_NODES = 1 << 14
 _LINES: "OrderedDict[float, _Line]" = OrderedDict()
 _LINES_LOCK = threading.Lock()
 
 
-def _node_table(origin: complex, h: float, half_width: float) -> _Table:
-    """The table on |k h| <= half_width, gathered from the store of its line.
+def _node_table(origin: complex, h: float, half_width: float):
+    """(1/Ai, bnd/|Ai|, Ai'/Ai, bnd/|Ai'|) at z = origin + i k h for
+    |k h| <= half_width, gathered from the store of its line.
 
     Each line Re z = x keeps every node evaluated on it, by |Im z|; a node
     below the real axis is read as the conjugate of its mirror image, which
-    is what `_ai_kernel` returns there, bit for bit.  Only the ordinates the
-    store lacks are evaluated, in one kernel call, and merged in; where Ai
-    overflows the kernel stores inf, with Ai' and the bound 0, so every
-    integrand (each divides by Ai) vanishes there exactly, and where Ai
-    underflows it stores 0, so `_trapezoid` raises.  Lines leave least
-    recently used first once all together hold more than _TABLE_NODES
-    nodes; the line being read stays, and a line that would outgrow the
-    cap keeps only the ordinates of the table being read.
+    is what `_ai_kernel` returns there, bit for bit, so 1/Ai and Ai'/Ai are
+    conjugated and the bounds read as they are.  Only the ordinates the
+    store lacks are evaluated, in one kernel call, and their four values
+    are formed once, as they are merged in.  Where Ai overflows the kernel
+    returns inf, with Ai' and the bound 0, and all four are stored as 0, so
+    every integrand (each divides by Ai) vanishes there exactly; where Ai
+    underflows 1/Ai is not finite, so `_trapezoid` raises.  Lines leave
+    least recently used first once all together hold more than
+    _TABLE_NODES nodes; the line being read stays, and a line that would
+    outgrow the cap keeps only the ordinates of the table being read.
     """
     x = origin.real + 0.0           # one key for the line through -0.0 and 0.0
     m = math.floor(half_width / h)
@@ -184,7 +165,7 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
     with _LINES_LOCK:
         line = _LINES.get(x)
         if line is None:
-            line = _Line(np.empty(0), np.empty(0, complex), np.empty(0, complex), np.empty(0))
+            line = _Line(*(np.empty(0, dt) for dt in (float, complex, float, complex, float)))
         pos = np.searchsorted(line.y, ay)
         hit = line.y.take(pos, mode="clip") == ay if line.y.size else np.zeros(ay.size, bool)
         new = ay[~hit]
@@ -198,9 +179,14 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
                 keep = np.zeros(line.y.size, bool)
                 keep[pos[hit]] = True
                 line = _Line(*(a[keep] for a in line))
+            ai, aip, bnd = _ai_kernel(x + 1j * new)
+            finite = np.isfinite(ai)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                inv = np.where(finite, 1.0 / ai, 0.0)
+                vals = (new, inv, np.where(finite, bnd / np.abs(ai), 0.0), aip * inv,
+                        bnd / np.maximum(np.abs(aip), 1e-300))
             at = np.searchsorted(line.y, new)
-            line = _Line(*(np.insert(old, at, val) for old, val in
-                           zip(line, (new, *_ai_kernel(x + 1j * new)))))
+            line = _Line(*(np.insert(old, at, val) for old, val in zip(line, vals)))
             pos = np.searchsorted(line.y, ay)
         _LINES[x] = line
         _LINES.move_to_end(x)
@@ -209,11 +195,11 @@ def _node_table(origin: complex, h: float, half_width: float) -> _Table:
         while new.size and len(_LINES) > 1 and (
                 sum(ln.y.size for ln in _LINES.values()) > _TABLE_NODES):
             _LINES.popitem(last=False)
-        ai, aip, bnd = line.ai[pos], line.aip[pos], line.bnd[pos]
+        inv, rel, r, rel_r = (a[pos] for a in line[1:])
     low = np.signbit(y)
-    np.conjugate(ai, out=ai, where=low)
-    np.conjugate(aip, out=aip, where=low)
-    return _Table(origin, h, m, ai, aip, bnd)
+    np.conjugate(inv, out=inv, where=low)
+    np.conjugate(r, out=r, where=low)
+    return inv, rel, r, rel_r
 
 
 def _dyadic_floor(w: float) -> float:
@@ -255,15 +241,17 @@ def _unmet(reason: str, err, h: float, y: float, budget: int) -> NoConvergence:
         f"Y = {y:g} (budget {budget} Airy nodes)")
 
 
-def _trapezoid(sums, lines: int, h: float, budget: int, tol_of):
-    """The stepping rule every quadrature here shares.
+def _trapezoid(origins, integrand, h: float, budget: int, tol_of):
+    """The line sum every quadrature here shares.
 
-    sums(h, Y) returns, elementwise, T_h over the tables on |y| <= 2Y, T_2h
-    over their even nodes, h times the pointwise bounds, h sum |F| and the
-    tail charge.  Y starts at _START_HEIGHT and doubles while the tail is
-    not negligible, h halves while err = |T_h - T_2h| + bounds + rounding
-    + tail exceeds tol_of(T_h, h sum |F|), and the nodes of all `lines`
-    tables together stay within `budget`.  Returns (T_h, err, nodes).
+    At each level it gathers the table of every origin on |y| <= 2Y (see
+    `_node_table`), and integrand(k, h, *tables) returns, elementwise, T_h
+    and T_2h over the even nodes, and per node |F| and its pointwise bound.
+    err adds |T_h - T_2h|, h sum bound, 20 eps h sum |F| for rounding and
+    the tail charge.  Y starts at _START_HEIGHT and doubles while the tail
+    is not negligible, h halves while err exceeds tol_of(T_h, h sum |F|),
+    and the nodes of all tables together stay within `budget`.  Returns
+    (T_h, err, nodes).
     """
     y = _START_HEIGHT
     while h > 0.5 * y:      # so both halves of the octave hold nodes
@@ -271,14 +259,19 @@ def _trapezoid(sums, lines: int, h: float, budget: int, tol_of):
     err, seen = math.inf, (h, y)
     while True:
         reach = 2.0 * y / h
-        nodes = lines * (2 * math.floor(reach) + 1) if reach <= budget else math.inf
+        nodes = len(origins) * (2 * math.floor(reach) + 1) if reach <= budget else math.inf
         if nodes > budget:
             raise _unmet("node budget exhausted", err, *seen, budget)
-        v, v2, pts, mag, tail = sums(h, y)
-        tol = tol_of(v, mag)
-        disc = np.abs(v - v2)
-        floor = pts + 20.0 * _EPS * mag
-        err = disc + floor + tail
+        k = np.arange(-math.floor(reach), math.floor(reach) + 1)
+        tables = [_node_table(o, h, 2.0 * y) for o in origins]
+        # a non-finite integrand raises below, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, v2, w, e = integrand(k, h, *tables)
+            pts, mag, tail = h * e.sum(), h * w.sum(), _tail(w + e, k, h, y)
+            tol = tol_of(v, mag)
+            disc = np.abs(v - v2)
+            floor = pts + 20.0 * _EPS * mag
+            err = disc + floor + tail
         seen = (h, y)
         if np.all(err <= tol):
             return v, err, nodes
@@ -326,30 +319,24 @@ def _ai_product_integral(rows: tuple, t: complex, spec: ContourSpec):
     c = complex(spec.sigma)
     origins = (c,) if t == 0 else (c, c + t)
 
-    def sums(h, y):
-        tab, *shifted = (_node_table(o, h, 2.0 * y) for o in origins)
-        inv0, rel0 = tab.reciprocal()
-        inv1, rel1 = shifted[0].reciprocal() if shifted else (inv0, rel0)
+    def integrand(k, h, tab, *shifted):
+        inv0, rel0, r, rel_r = tab
+        inv1, rel1 = shifted[0][:2] if shifted else (inv0, rel0)
         f = e = None
         for b, row in terms:
-            p = row[0] if len(row) == 1 else np.polyval(row[::-1], tab.z)
+            p = row[0] if len(row) == 1 else np.polyval(row[::-1], c + 1j * h * k)
             rel = rel0 + rel1
             if b:       # r = Ai'/Ai stays moderate where Ai' ** b would overflow
-                p = p * (tab.aip * inv0) ** b
-                rel = rel + b * (rel0 + tab.bnd / np.maximum(np.abs(tab.aip), 1e-300))
+                p = p * r ** b
+                rel = rel + b * (rel0 + rel_r)
             val = p * inv0 * inv1
             err = np.abs(val) * rel
             f, e = (val, err) if f is None else (f + val, e + err)
-        k = tab.k
-        w = np.abs(f)
-        return (h * f.sum(), 2.0 * h * f[k % 2 == 0].sum(), h * e.sum(), h * w.sum(),
-                _tail(w + e, k, h, y))
+        return h * f.sum(), 2.0 * h * f[k % 2 == 0].sum(), np.abs(f), e
 
     h0 = _first_step(min(o.real for o in origins) - airy_zero(1), spec.rel_tol)
-    # a non-finite integrand raises in _trapezoid, without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        val, err, nodes = _trapezoid(sums, len(origins), h0, _LINE_NODES,
-                                     lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
+    val, err, nodes = _trapezoid(origins, integrand, h0, _LINE_NODES,
+                                 lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
     return complex(val), float(err), nodes
 
 
@@ -532,21 +519,19 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     while 2.0 * h * u_max > math.pi:
         h *= 0.5
 
-    def sums(h, y):
-        tab = _node_table(0j, h, 2.0 * y)
-        inv, rel = tab.reciprocal()
+    def integrand(k, h, tab):
+        inv, rel = tab[:2]
         ghat = _SQRT2 * inv
-        w = np.abs(ghat)
         # fold nodes k and -k: the real part of sum_k ghat_k e^{-i k h u} is
         # sum_{k >= 0} A_k cos(k h u) + B_k sin(k h u)
-        m = tab.m
+        m = k[-1]
         a = ghat.real[m:] + ghat.real[m::-1]
         a[0] = ghat.real[m]
         b = ghat.imag[m:] - ghat.imag[m::-1]
-        even = 2.0 * (np.arange(m + 1) % 2 == 0)
+        even = 2.0 * (k[m:] % 2 == 0)
         wa = np.stack([a, even * a], axis=1) * (h / _TWO_PI)
         wb = np.stack([b, even * b], axis=1) * (h / _TWO_PI)
-        t = h * np.arange(m + 1)
+        t = h * k[m:]
         ca = np.empty((u.size, 2))
         sb = np.empty((u.size, 2))
         for i in range(0, u.size, _X_BLOCK):
@@ -554,12 +539,12 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
             ca[i:i + _X_BLOCK] = np.cos(phase) @ wa
             sb[i:i + _X_BLOCK] = np.sin(phase) @ wb
         g = np.concatenate([ca + sb, ca - sb])       # rows g(u), then g(-u)
-        return (g[:, 0], g[:, 1], h * np.sum(w * rel) / _TWO_PI, h * w.sum() / _TWO_PI,
-                _tail(w * (1.0 + rel), tab.k, h, y) / _TWO_PI)
+        w = np.abs(ghat) / _TWO_PI
+        return g[:, 0], g[:, 1], w, w * rel
 
     # with |g| <= G = h sum |hat g| / 2 pi and both errors below
     # min(1, 2 s tol / (2G + 1)), the error of g(u) g(-u) / (2 s) is below tol
-    g, _, _ = _trapezoid(sums, 1, h, _DENSITY_NODES,
+    g, _, _ = _trapezoid((0j,), integrand, h, _DENSITY_NODES,
                          lambda v, mag: min(1.0, 2.0 * s * tol / (2.0 * mag + 1.0)))
     return 0.5 * g[:u.size] * g[u.size:] / s
 

@@ -199,6 +199,15 @@ def test_overflow_raises():
         airy_ai(140j)
 
 
+@pytest.mark.parametrize("z", [-1e13, -1e100, -1e300])
+def test_far_negative_axis_is_unreachable_not_overflow(z):
+    # Ai does not overflow here (|Ai(-1e100)| ~ 5.6e-26); the rotation
+    # identity's two terms do.  Re zeta is 0 on the axis, and at -1e300 it
+    # is -0 while Im zeta overflows
+    with pytest.raises(AccuracyUnreachable, match="rotation identity"):
+        airy_ai(z, target_abs_err=NO_GATE)
+
+
 @pytest.mark.parametrize("target", [0.0, -1e-9, float("nan"), True])
 def test_bad_target_rejected(target):
     with pytest.raises(ValueError):

@@ -644,6 +644,25 @@ def _bits(*arrays):
     return [np.ascontiguousarray(a).view(np.uint8).tobytes() for a in arrays]
 
 
+def _direct_table(origin, h, half_width):
+    """The table's nodes z and its (1/Ai, bnd/|Ai|, Ai'/Ai, bnd/|Ai'|),
+    formed from one direct kernel call at the mirror images above the real
+    axis and conjugated below it, as the kernel does for Ai and Ai'.  Formed
+    at z itself they differ only in the sign of the 0 that stands for 1/Ai
+    where Ai overflows below the axis: conj(0j) is 0 - 0j."""
+    m = math.floor(half_width / h)
+    z = origin + 1j * h * np.arange(-m, m + 1)
+    ai, aip, bnd = airy._ai_kernel(z.real + 1j * np.abs(z.imag))
+    finite = np.isfinite(ai)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(finite, 1.0 / ai, 0.0)
+        rel = np.where(finite, bnd / np.abs(ai), 0.0)
+    r = aip * inv
+    low = np.signbit(z.imag)
+    return (np.where(low, inv.conj(), inv), rel, np.where(low, r.conj(), r),
+            bnd / np.maximum(np.abs(aip), 1e-300)), z
+
+
 @pytest.mark.parametrize("origin, h, half_width", [
     (0j, 0.25, 24.0), (0j, 0.125, 24.0), (2.5j, 0.125, 24.0), (-7.25j, 1.0, 48.0),
     (1j / 3.0, 0.0625, 12.0), (0.1j, 0.3, 10.0), (0.5 + 0j, 0.5, 24.0),
@@ -655,9 +674,7 @@ def test_table_bits_equal_direct_kernel(monkeypatch, origin, h, half_width):
     for c, step in ((origin.real + 0j, 0.5), (origin.real + 2j, 0.25), (origin, 2.0 * h)):
         moments._node_table(c, step, 24.0)
     tab = moments._node_table(origin, h, half_width)
-    direct = airy._ai_kernel(tab.z)
-    assert _bits(tab.ai, tab.aip, tab.bnd) == _bits(*direct)
-    assert np.all(tab.z.real == origin.real)
+    assert _bits(*tab) == _bits(*_direct_table(origin, h, half_width)[0])
 
 
 # mpmath (dps 40, tanh-sinh on z = i y, y in [-40, 40]) at the double t
@@ -727,9 +744,9 @@ def test_line_larger_than_the_cap_holds_one_table(monkeypatch):
     _empty_store(monkeypatch, cap=100)
     for tau in (0.3, 0.7, 1.1):
         tab = moments._node_table(1j * tau, 0.125, 24.0)
-        line = moments._LINES[0.0]
-        assert np.array_equal(line.y, np.unique(np.abs(tab.z.imag)))
-        assert _bits(tab.ai, tab.aip, tab.bnd) == _bits(*airy._ai_kernel(tab.z))
+        direct, z = _direct_table(1j * tau, 0.125, 24.0)
+        assert np.array_equal(moments._LINES[0.0].y, np.unique(np.abs(z.imag)))
+        assert _bits(*tab) == _bits(*direct)
 
 
 def test_quad_result_fields():
@@ -819,6 +836,43 @@ def test_density_validation():
         density(0.0, tol=0.5)
     with pytest.raises(ValueError):
         density_grid(np.zeros((2, 2)))
+
+
+def _density_battery():
+    """(label, request) for 48 tables: 4 gammas x 3 tols x 4 grids, and the
+    over-budget table at gamma = 1e4."""
+    grids = {"linspace(-3, 3, 13)": np.linspace(-3.0, 3.0, 13),
+             "arange(-6, 6, 0.05)": np.arange(-6.0, 6.0, 0.05),
+             "[0]": np.array([0.0]), "[4.5, -5]": np.array([4.5, -5.0])}
+    for g in (CANONICAL_GAMMA, 0.3, 3.0, 100.0):
+        for tol in (1e-4, 1e-8, 1e-12):
+            for name, xs in grids.items():
+                yield (f"gamma={g} tol={tol} xs={name}",
+                       lambda xs=xs, g=g, tol=tol: density_grid(xs, g, tol))
+    yield "gamma=1e4 xs=[-6, 6]", lambda: density_grid(np.array([-6.0, 6.0]), 1e4)
+
+
+# SHA-256 over each request's label and either its table's bytes or its
+# exception type and message; frozen before the line sum took over the
+# density's charges, which may round them differently but must not move a
+# bit of any table.  Computed with numpy 2.4 on x86-64 Linux, like
+# ONE_ROW_DIGEST: another numpy build or libm may round a last bit
+# differently, and then the digest must be recomputed there from that
+# older code
+DENSITY_DIGEST = "c437fd1a36a90ed3989279439661fa7495a982d247e07b01161197cd55bec7b4"
+
+
+def test_density_tables_bits_frozen():
+    digest = hashlib.sha256()
+    for label, request in _density_battery():
+        digest.update(label.encode())
+        try:
+            f = request()
+        except ChernoffError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            digest.update(f.tobytes())
+    assert digest.hexdigest() == DENSITY_DIGEST
 
 
 # ---------------------------------------------------------------- identity suite
