@@ -21,7 +21,12 @@ moment polynomials p_n with p_0 = 1, p_2 = -z/3, p_4 = 7 z^2 / 15, ...
 All arithmetic is exact and floats never enter.  The derivatives of 1/Ai
 (integer coefficients) and the reduction sweep (_reduce_class) run on
 Python ints; Fractions appear only in the public TermSum and RationalPoly
-values.
+values.  Every sum of those values is formed by _accumulate, which drops
+each key whose coefficients sum to 0 (the TermSum and RationalPoly
+constructors, TermSum addition and term_sum_product); every order or
+power taken from a caller is checked by _order; and an exact coefficient
+becomes a float only through _float, which raises OverflowDomain past the
+double range.
 """
 from __future__ import annotations
 
@@ -31,9 +36,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .errors import NotIntegrable
+from .errors import NotIntegrable, OverflowDomain
 
 RationalLike = Union[int, Fraction]
 
@@ -52,6 +58,31 @@ def _as_fraction(c: RationalLike) -> Fraction:
     if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _order(name: str, n) -> int:
+    """n if it is a nonnegative int (a bool is not one), else ValueError."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    return n
+
+
+def _accumulate(pairs: Iterable[tuple]) -> dict:
+    """Sum the coefficients of equal keys, dropping every key whose sum is 0."""
+    acc: dict = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def _float(c: Fraction) -> float:
+    """c rounded to a float; OverflowDomain where it leaves the double range."""
+    try:
+        return float(c)
+    except OverflowError:
+        size = c.numerator.bit_length() - c.denominator.bit_length()
+        raise OverflowDomain(f"an exact coefficient near 2^{size} overflows "
+                             f"double precision") from None
 
 
 def _as_term(t) -> AiryTerm:
@@ -75,17 +106,15 @@ class TermSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[dict, Iterable[tuple]] = ()):
-        acc: dict[AiryTerm, Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for t, c in items:
-            t = _as_term(t)
-            c = _as_fraction(c)
-            c = acc.get(t, Fraction(0)) + c
-            if c:
-                acc[t] = c
-            else:
-                acc.pop(t, None)
-        self._terms = acc
+        self._terms = _accumulate((_as_term(t), _as_fraction(c)) for t, c in items)
+
+    @staticmethod
+    def _of(terms: dict) -> "TermSum":
+        """Wrap checked atoms with nonzero Fraction coefficients as they are."""
+        out = TermSum.__new__(TermSum)
+        out._terms = terms
+        return out
 
     def items(self) -> Iterator[tuple[AiryTerm, Fraction]]:
         return iter(sorted(self._terms.items()))
@@ -107,16 +136,7 @@ class TermSum:
     def __add__(self, other: "TermSum") -> "TermSum":
         if not isinstance(other, TermSum):
             return NotImplemented
-        merged = dict(self._terms)
-        for t, c in other._terms.items():
-            c = merged.get(t, Fraction(0)) + c
-            if c:
-                merged[t] = c
-            else:
-                merged.pop(t, None)
-        out = TermSum.__new__(TermSum)
-        out._terms = merged
-        return out
+        return TermSum._of(_accumulate(chain(self._terms.items(), other._terms.items())))
 
     def __neg__(self) -> "TermSum":
         return self.scale(-1)
@@ -126,15 +146,11 @@ class TermSum:
 
     def scale(self, c: RationalLike) -> "TermSum":
         c = _as_fraction(c)
-        out = TermSum.__new__(TermSum)
-        out._terms = {} if c == 0 else {t: c * v for t, v in self._terms.items()}
-        return out
+        return TermSum._of({} if c == 0 else {t: c * v for t, v in self._terms.items()})
 
     def shift_ell(self, d: int) -> "TermSum":
         """Multiply every atom by Ai^{-d} (d = 1 appends one 1/Ai factor)."""
-        out = TermSum.__new__(TermSum)
-        out._terms = {AiryTerm(t.j, t.k, t.ell + d): v for t, v in self._terms.items()}
-        return out
+        return TermSum._of({AiryTerm(t.j, t.k, t.ell + d): v for t, v in self._terms.items()})
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -164,18 +180,9 @@ def term_sum_derivative(s: TermSum) -> TermSum:
 
 def term_sum_product(a: TermSum, b: TermSum) -> TermSum:
     """Pointwise product; atoms multiply by adding exponents."""
-    acc: dict[AiryTerm, Fraction] = {}
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            t = AiryTerm(ta.j + tb.j, ta.k + tb.k, ta.ell + tb.ell)
-            v = acc.get(t, Fraction(0)) + ca * cb
-            if v:
-                acc[t] = v
-            else:
-                acc.pop(t, None)
-    out = TermSum.__new__(TermSum)
-    out._terms = acc
-    return out
+    return TermSum._of(_accumulate(
+        (AiryTerm(ta.j + tb.j, ta.k + tb.k, ta.ell + tb.ell), ca * cb)
+        for ta, ca in a._terms.items() for tb, cb in b._terms.items()))
 
 
 class _DerivativeCursor:
@@ -214,11 +221,7 @@ def inv_ai_derivative(m: int) -> TermSum:
     2j + k == m (mod 3); these are checked by the test suite, not assumed
     here.
     """
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValueError("m must be an integer")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return TermSum(_DERIVATIVES.get(m))
+    return TermSum(_DERIVATIVES.get(_order("m", m)))
 
 
 def _reduce_class(d: int, atoms: dict) -> dict[int, Fraction]:
@@ -279,18 +282,8 @@ class RationalPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Union[dict, Iterable[tuple]] = ()):
-        acc: dict[int, Fraction] = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for p, c in items:
-            if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-                raise ValueError(f"power must be a nonnegative integer, got {p!r}")
-            c = _as_fraction(c)
-            c = acc.get(p, Fraction(0)) + c
-            if c:
-                acc[p] = c
-            else:
-                acc.pop(p, None)
-        self._coeffs = acc
+        self._coeffs = _accumulate((_order("power", p), _as_fraction(c)) for p, c in items)
 
     @property
     def is_zero(self) -> bool:
@@ -312,7 +305,7 @@ class RationalPoly:
             return [0.0]
         out = [0.0] * (self.degree() + 1)
         for p, c in self._coeffs.items():
-            out[p] = float(c)
+            out[p] = _float(c)
         return out
 
     def __eq__(self, other) -> bool:
@@ -359,12 +352,8 @@ def moment_polynomial(n: int) -> RationalPoly:
     and reduce the contour integral of each term to the (j, 0, 2) form.
     Odd n yields the zero polynomial.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("n must be an integer")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     atoms: dict[int, dict[int, int]] = {}
-    for (j, k, _), c in _DERIVATIVES.get(n).items():
+    for (j, k, _), c in _DERIVATIVES.get(_order("n", n)).items():
         atoms.setdefault(k, {})[j] = c  # times 1/Ai: the atom (j, k, k + 2)
     return RationalPoly(_reduce_class(2, atoms))
 
@@ -397,11 +386,7 @@ def sinh_gf_coefficient(n: int) -> Fraction:
     This is the conjectured closed form for the leading coefficient of p_n
     (n even); odd n gives 0.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("n must be an integer")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return Fraction(0) if n % 2 else _sinh_gf_coefficients(n // 2)[-1]
+    return Fraction(0) if _order("n", n) % 2 else _sinh_gf_coefficients(n // 2)[-1]
 
 
 @dataclass(frozen=True)
@@ -445,25 +430,16 @@ def verify_conjectures(max_n: int) -> ConjectureReport:
     Odd n: p_n = 0.  Even n: deg p_n = n/2 exactly, the leading coefficient
     equals sinh_gf_coefficient(n), and only powers j == n/2 (mod 3) occur.
     """
-    if isinstance(max_n, bool) or not isinstance(max_n, int) or max_n < 0:
-        raise ValueError("max_n must be a nonnegative integer")
-    sinh = _sinh_gf_coefficients(max_n // 2)
+    sinh = _sinh_gf_coefficients(_order("max_n", max_n) // 2)
     rows = []
     for n in range(max_n + 1):
         p = moment_polynomial(n)
-        if n % 2:
-            lead = p.coefficient(p.degree()) if not p.is_zero else Fraction(0)
-            rows.append(ConjectureRow(
-                n=n, poly_is_zero=p.is_zero, degree=p.degree(),
-                degree_ok=p.is_zero, leading=lead, leading_ok=p.is_zero,
-                mod3_ok=p.is_zero))
-            continue
-        half = n // 2
+        even = n % 2 == 0
+        half = n // 2 if even else -1      # odd n: p_n = 0, of degree -1
         deg = p.degree()
-        lead = p.coefficient(half)
-        mod3 = all(j % 3 == half % 3 for j, _ in p.items())
+        lead = p.coefficient(deg)
         rows.append(ConjectureRow(
-            n=n, poly_is_zero=p.is_zero, degree=deg, degree_ok=(deg == half),
-            leading=lead, leading_ok=(lead == sinh[half]),
-            mod3_ok=mod3))
+            n=n, poly_is_zero=p.is_zero, degree=deg, degree_ok=deg == half,
+            leading=lead, leading_ok=lead == (sinh[half] if even else 0),
+            mod3_ok=all(even and j % 3 == half % 3 for j, _ in p.items())))
     return ConjectureReport(max_n=max_n, rows=tuple(rows))

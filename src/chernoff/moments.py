@@ -354,21 +354,15 @@ def _validate_gamma(gamma: float) -> float:
     return float(gamma)
 
 
-def _validate_order(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError("moment order must be a nonnegative integer")
-    return n
-
-
 def moment_quad(n: int, gamma: float = CANONICAL_GAMMA,
                 contour: Optional[ContourSpec] = None) -> QuadResult:
     """E V_gamma^n with its quadrature error estimate."""
-    n = _validate_order(n)
+    n = algebra._order("moment order", n)
     gamma = _validate_gamma(gamma)
     try:
         scale = 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0)
         coeffs = _moment_coeffs(n)
-    except OverflowError:           # from the power, or from p_n's coefficients
+    except (OverflowError, OverflowDomain):     # from the power, or p_n's coefficients
         pass
     else:
         q = _real(_ai_product_integral(coeffs, 0, _spec(contour)), scale)
@@ -399,7 +393,7 @@ def _by_parts_rows(j: int, k: int) -> tuple:
         assert t.ell - t.k == 2, t
         rows += [[] for _ in range(t.k + 1 - len(rows))]
         rows[t.k] += [0.0] * (t.j + 1 - len(rows[t.k]))
-        rows[t.k][t.j] = float(sign * c)
+        rows[t.k][t.j] = algebra._float(sign * c)
     return tuple(map(tuple, rows))
 
 
@@ -413,8 +407,8 @@ def moment_by_parts(j: int, k: int,
     (all for n = 0, 2, 4, and (5, 1) to (1, 5)), 23 at 1e-8 and 55 at 1e-5,
     and the rest raise NoConvergence.  Every odd split raises at 1e-10: its
     value 0 meets no relative tolerance (ROADMAP item 1, abs_tol, would)."""
-    j = _validate_order(j)
-    k = _validate_order(k)
+    j = algebra._order("moment order", j)
+    k = algebra._order("moment order", k)
     return _real(_ai_product_integral(_by_parts_rows(j, k), 0, _spec(contour)), 1.0).value
 
 
@@ -502,7 +496,11 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     with the strip half-width -a_1 and tol, halved further until
     pi/h >= 2 max|u|: a trapezoidal sum in t is 2 pi/h-periodic in u, so
     the images of g that T_2h adds then sit at |u| >= max|u|.
-    Raises NoConvergence when tol cannot be met within the node budget.
+    Raises NoConvergence when tol cannot be met within the node budget, and
+    also when the Airy-bound floor exceeds the tolerance that the absolute
+    tol implies for each factor g: at large gamma with a tight tol, such as
+    gamma = 100 (f(0) = 16.3) and tol = 1e-12, which asks g for about 6e-14
+    relative.
     """
     gamma = _validate_gamma(gamma)
     if not (isinstance(tol, (int, float)) and 1e-12 <= tol <= 1e-2):

@@ -27,8 +27,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .algebra import _order
 from .errors import OverflowDomain, UnknownStatistic
-from .moments import CANONICAL_GAMMA
+from .moments import CANONICAL_GAMMA, _is_real
 
 _BLOCK_BYTES = 2 * 2**20  # grid values per block: about one core's L2
 _BOUNDARY_MARGIN = 0.5
@@ -44,15 +45,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def real(x):
-            return isinstance(x, (int, float)) and not isinstance(x, bool) \
-                and math.isfinite(x)
-
-        if not (real(self.gamma) and self.gamma > 0):
+        if not (_is_real(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be a positive real")
-        if not (real(self.horizon) and self.horizon > 0):
+        if not (_is_real(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be a positive real")
-        if not (real(self.step) and 0 < self.step <= self.horizon):
+        if not (_is_real(self.step) and 0 < self.step <= self.horizon):
             raise ValueError("step must lie in (0, horizon]")
         if isinstance(self.num_paths, bool) or not isinstance(self.num_paths, int) \
                 or self.num_paths < 1:
@@ -199,9 +196,7 @@ def estimate(s: SampleSet, statistic: str, order: Optional[int] = None,
     if s.num_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
     if statistic == "v_moment":
-        if order is None or isinstance(order, bool) or not isinstance(order, int) \
-                or order < 0:
-            raise ValueError("v_moment requires a nonnegative integer order")
+        _order("v_moment order", order)
         with np.errstate(over="ignore"):
             x = s.v ** order
     elif statistic == "m_mean":
@@ -209,8 +204,7 @@ def estimate(s: SampleSet, statistic: str, order: Optional[int] = None,
     elif statistic == "w_at_argmax_mean":
         x = s.w_at_argmax
     elif statistic == "cos_v":
-        if t is None or isinstance(t, bool) or not isinstance(t, (int, float)) \
-                or not math.isfinite(t):
+        if not _is_real(t):
             raise ValueError("cos_v requires a finite real t")
         x = np.cos(t * s.v)
     else:

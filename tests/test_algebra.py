@@ -140,8 +140,10 @@ def test_cold_moment_polynomials_agree_across_threads():
 
 @pytest.mark.parametrize("bad", [-1, -4, 2.0, "2", True])
 def test_moment_polynomial_rejects(bad):
-    with pytest.raises(ValueError):
-        moment_polynomial(bad)
+    for order_of in (moment_polynomial, inv_ai_derivative, sinh_gf_coefficient,
+                     verify_conjectures):
+        with pytest.raises(ValueError):
+            order_of(bad)
 
 
 # ---------------------------------------------------------------- derivative chain
@@ -347,6 +349,11 @@ def test_product_multiplies_atoms():
     a = TermSum([(AiryTerm(1, 2, 3), F(1, 2))])
     b = TermSum([(AiryTerm(2, 0, 1), 4)])
     assert term_sum_product(a, b) == TermSum([(AiryTerm(3, 2, 4), 2)])
+    # (x + y)(x - y): the cross terms cancel and leave no zero coefficient
+    x, y = AiryTerm(0, 0, 1), AiryTerm(1, 0, 1)
+    prod = term_sum_product(TermSum([(x, 1), (y, 1)]), TermSum([(x, 1), (y, -1)]))
+    assert len(prod) == 2
+    assert prod == TermSum([(AiryTerm(0, 0, 2), 1), (AiryTerm(2, 0, 2), -1)])
 
 
 def test_shift_ell():
@@ -367,6 +374,12 @@ def test_rational_poly_basics():
     assert RationalPoly().float_coeffs() == [0.0]
     with pytest.raises(ValueError):
         RationalPoly({-1: F(1)})
+    with pytest.raises(ValueError):
+        RationalPoly({True: F(1)})
+    # repeated powers are summed, and a power whose sum is 0 is dropped
+    q = RationalPoly([(1, F(1, 3)), (0, 2), (1, F(-1, 3))])
+    assert q == RationalPoly({0: 2}) and q.degree() == 0
+    assert RationalPoly([(3, 1), (3, -1)]).is_zero
 
 
 # ---------------------------------------------------------------- conjectures

@@ -199,6 +199,15 @@ def test_moment_overflow_is_typed(n, gamma):
         moment_quad(n, gamma)
 
 
+def test_exact_coefficient_overflow_is_typed():
+    # (163, 0) is the first split (j, 0) with a coefficient beyond the
+    # double range, and 10^400 is about 2^1328.8
+    with pytest.raises(OverflowDomain, match="near 2\\^1024 overflows double precision"):
+        moment_by_parts(163, 0)
+    with pytest.raises(OverflowDomain, match="near 2\\^1328 overflows double precision"):
+        contour_integral_inv_ai2(RationalPoly({0: 10**400}))
+
+
 def test_moment_validation():
     for bad in (-1, 1.5, "2", True):
         with pytest.raises(ValueError):
@@ -814,6 +823,16 @@ def test_density_grid_out_of_budget_raises():
     # |u| = 6 / s ~ 3500 needs a step far below the node budget's reach
     with pytest.raises(NoConvergence, match="budget"):
         density_grid(np.array([-6.0, 6.0]), gamma=1e4)
+
+
+def test_density_grid_airy_floor_at_large_gamma():
+    # f(0) = 16.3 at gamma = 100: an absolute tol of 1e-12 asks each factor
+    # g for about 6e-14 relative, below the Airy-bound floor (ROADMAP item 5)
+    with pytest.raises(NoConvergence, match="Airy bounds and rounding exceed"):
+        density_grid(np.array([0.0]), 100.0, 1e-12)
+    s = length_scale(100.0)
+    f0 = density_grid(np.array([0.0]), 100.0, 1e-11)[0]
+    assert abs(f0 - density(0.0) / s) <= 1e-11 + 1e-8 / s
 
 
 def test_density_gamma_rescales():
