@@ -21,8 +21,7 @@ import numpy as np
 from . import algebra, moments
 from .simulate import SimConfig, estimate, save_sample_set
 from .simulate import simulate as run_paths
-from .errors import (AccuracyUnreachable, ContourTooLeft, NoConvergence,
-                     NotIntegrable, OverflowDomain, UnknownStatistic)
+from .errors import AccuracyUnreachable, NoConvergence, OverflowDomain
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -37,16 +36,14 @@ class _UsageError(Exception):
 
 
 def _contour_from_env(sigma: float = 0.0) -> moments.ContourSpec:
+    spec = moments.ContourSpec(sigma=sigma)
     raw = os.environ.get(_RELTOL_ENV)
     if raw is None:
-        return moments.ContourSpec(sigma=sigma)
+        return spec
     try:
-        rel = float(raw)
-    except ValueError:
-        raise _UsageError(f"{_RELTOL_ENV}={raw!r} is not a number")
-    if not (0.0 < rel < 1.0):
-        raise _UsageError(f"{_RELTOL_ENV} must lie in (0, 1), got {rel!r}")
-    return moments.ContourSpec(sigma=sigma, rel_tol=rel)
+        return dataclasses.replace(spec, rel_tol=float(raw))
+    except ValueError as exc:       # not a number, or outside ContourSpec's range
+        raise _UsageError(f"{_RELTOL_ENV}={raw!r}: {exc}")
 
 
 def _check_out(*paths: str) -> None:
@@ -144,10 +141,10 @@ def cmd_cf(args) -> int:
     s = moments.length_scale(args.gamma)
     qr = moments.char_fn_quad(s * args.t, spec)
     val = qr.value
-    _scalar_output(args, "char_fn", val.real,
-                   qr.err_estimate + abs(val.imag), spec,
+    err = qr.err_estimate + abs(val.imag)
+    _scalar_output(args, "char_fn", val.real, err, spec,
                    f"cf({args.t:.10g}) (gamma={args.gamma:.10g}) = {val.real:.15g}"
-                   f"  err<={qr.err_estimate + abs(val.imag):.3g}",
+                   f"  err<={err:.3g}",
                    t=args.t, gamma=args.gamma)
     return EXIT_OK
 
@@ -326,7 +323,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ContourTooLeft, NotIntegrable, UnknownStatistic, ValueError) as exc:
+    except ValueError as exc:       # ContourTooLeft, NotIntegrable, UnknownStatistic too
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NoConvergence, AccuracyUnreachable, OverflowDomain) as exc:

@@ -11,22 +11,23 @@ integrands read: 1/Ai, the relative bound bnd/|Ai|, r = Ai'/Ai and
 bnd/|Ai'|, formed once when the node is evaluated, and all 0 where Ai
 overflows.  A table at the nodes z = c + i k h, |k h| <= 2Y, is gathered
 from its line's store, reading nodes below the real axis as conjugates,
-and only ordinates the store lacks are evaluated.  All moments, E M, the
-identity suite, the density and the cf read the sigma = 0 line, and the
-mgf adds the line through sigma + t.  The cf is the mgf at i t on the
-caller's contour, so its shifted factor Ai(z + i t) lies on that same line.
-On a strip of half-width a the error of T_h falls like e^{-2 pi a/h}, so h
-starts at the largest power of two at or below min(a, 2 pi a / ln(1/tol)):
-no coarser step could pass the first check (see `_first_step`), and dyadic
-steps and quarter-integer shifts land on shared ordinates.  h is then
-halved, reusing the coarser nodes, until the error meets
-rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at _START_HEIGHT and
-doubles until the octave Y < |y| <= 2Y bounds what lies beyond 2Y.  One
-line sum, `_trapezoid`, gathers the tables and charges every error; each
-integrand only says what a node contributes.  The error adds |T_h - T_2h|
-(T_2h from the even nodes of the same table), h times the pointwise Airy
-bounds, 20 eps * h sum |F| for rounding, and that tail.  A line integral
-rests on at most _LINE_NODES Airy-evaluated nodes, a density table on
+and only ordinates the store lacks are evaluated; one cap bounds the
+store (see `_node_table`).  All moments, E M, the identity suite, the
+density and the cf read the sigma = 0 line, and the mgf adds the line
+through sigma + t.  The cf is the mgf at i t on the caller's contour, so
+its shifted factor Ai(z + i t) lies on that same line.  On a strip of
+half-width a the error of T_h falls like e^{-2 pi a/h}; h starts at the
+coarsest power of two whose check could pass, below the phase period of F
+(see `_first_step`), so dyadic steps and quarter-integer shifts land on
+shared ordinates.  h is then halved, reusing the coarser nodes, until the
+error meets rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at
+_START_HEIGHT and doubles until the octave Y < |y| <= 2Y bounds what lies
+beyond 2Y.  The node budget alone ends both loops.  One line sum,
+`_trapezoid`, gathers the tables and charges every error; each integrand
+only says what a node contributes.  The error adds |T_h - T_2h| (T_2h from
+the even nodes of the same table), h times the pointwise Airy bounds,
+20 eps * h sum |F| for rounding, and that tail.  A line integral rests on
+at most _LINE_NODES Airy-evaluated nodes, a density table on
 _DENSITY_NODES; `panels_used` counts them.
 
 All but the density are one integral,
@@ -48,7 +49,6 @@ import cmath
 import math
 import numbers
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -72,8 +72,6 @@ _Z_ROWS = ((0.0, 1.0),)
 
 #: the first truncation height Y of every quadrature; Y doubles from here
 _START_HEIGHT = 12.0
-#: cap on the doubled truncation height 2Y
-_MAX_HALF_WIDTH = 1536.0
 #: node budget of a line integral, over every line it reads
 _LINE_NODES = 4000
 
@@ -137,7 +135,7 @@ class _Line(NamedTuple):
 
 #: cap on the nodes held by all cached lines together (56 bytes each)
 _TABLE_NODES = 1 << 14
-_LINES: "OrderedDict[float, _Line]" = OrderedDict()
+_LINES: dict[float, _Line] = {}
 _LINES_LOCK = threading.Lock()
 
 
@@ -153,10 +151,9 @@ def _node_table(origin: complex, h: float, half_width: float):
     are formed once, as they are merged in.  Where Ai overflows the kernel
     returns inf, with Ai' and the bound 0, and all four are stored as 0, so
     every integrand (each divides by Ai) vanishes there exactly; where Ai
-    underflows 1/Ai is not finite, so `_trapezoid` raises.  Lines leave
-    least recently used first once all together hold more than
-    _TABLE_NODES nodes; the line being read stays, and a line that would
-    outgrow the cap keeps only the ordinates of the table being read.
+    underflows 1/Ai is not finite, so `_trapezoid` raises.  An insert that
+    would take all lines past _TABLE_NODES nodes drops every other line and
+    leaves this one only this table's ordinates: the cap or one table.
     """
     x = origin.real + 0.0           # one key for the line through -0.0 and 0.0
     m = math.floor(half_width / h)
@@ -173,9 +170,9 @@ def _node_table(origin: complex, h: float, half_width: float):
             new = np.sort(new)
             # not np.unique: its first call imports numpy.ma, about 20 ms
             new = new[np.diff(new, prepend=-1.0) > 0.0]
-            if line.y.size + new.size > _TABLE_NODES:
-                # the line keeps only this table's ordinates, so it never
-                # holds more than the cap or one table
+            # a contour pass holds a handful of lines, so the sum is cheap
+            if sum(ln.y.size for ln in _LINES.values()) + new.size > _TABLE_NODES:
+                _LINES.clear()
                 keep = np.zeros(line.y.size, bool)
                 keep[pos[hit]] = True
                 line = _Line(*(a[keep] for a in line))
@@ -188,13 +185,7 @@ def _node_table(origin: complex, h: float, half_width: float):
             at = np.searchsorted(line.y, new)
             line = _Line(*(np.insert(old, at, val) for old, val in zip(line, vals)))
             pos = np.searchsorted(line.y, ay)
-        _LINES[x] = line
-        _LINES.move_to_end(x)
-        # only an insert can take the store past the cap; a contour pass
-        # holds a handful of lines, so the sum is cheap
-        while new.size and len(_LINES) > 1 and (
-                sum(ln.y.size for ln in _LINES.values()) > _TABLE_NODES):
-            _LINES.popitem(last=False)
+            _LINES[x] = line
         inv, rel, r, rel_r = (a[pos] for a in line[1:])
     low = np.signbit(y)
     np.conjugate(inv, out=inv, where=low)
@@ -208,17 +199,23 @@ def _dyadic_floor(w: float) -> float:
 
 
 def _first_step(a: float, tol: float) -> float:
-    """The first step on a strip of half-width a: the largest power of two
-    at or below min(a, 2 pi a / ln(1/tol)).
+    """The first step on a strip of half-width a about Re z = x = a + a_1:
+    the largest power of two at or below min(a, Y/2, 2 pi a / ln(1/tol),
+    max(1/32, 2/sqrt(max(x, 0) + 2))), Y = _START_HEIGHT.
 
     T_h errs by about M e^{-2 pi a/h} with M >= |int F|.  A coarser level
     h' >= 2 h0 compares T_h' with T_2h', whose error M e^{-pi a/h'} is at
     least M tol^{1/2}, so it could pass only with M far below the value.
     One level finer leaves no margin: the first check then fails where
     T_2h only just meets tol, and the rule stops a level too fine (cf(1)
-    at rel_tol 1e-13 on 770 nodes instead of 386).
+    at rel_tol 1e-13 on 770 nodes instead of 386).  Y/2 puts nodes in both
+    halves of the first octave.  The phase of 1/Ai(z)^2 turns by about
+    2 sqrt(x) per unit of y, and steps that sample one phase agree on a
+    wrong value (E V^2 at sigma = 40 would read -3.1e149); 1/32 keeps the
+    first level within the node budget.
     """
-    return _dyadic_floor(min(a, _TWO_PI * a / -math.log(tol)))
+    phase = max(1.0 / 32.0, 2.0 / math.sqrt(max(a + airy_zero(1), 0.0) + 2.0))
+    return _dyadic_floor(min(a, 0.5 * _START_HEIGHT, _TWO_PI * a / -math.log(tol), phase))
 
 
 def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
@@ -254,8 +251,6 @@ def _trapezoid(origins, integrand, h: float, budget: int, tol_of):
     (T_h, err, nodes).
     """
     y = _START_HEIGHT
-    while h > 0.5 * y:      # so both halves of the octave hold nodes
-        h *= 0.5
     err, seen = math.inf, (h, y)
     while True:
         reach = 2.0 * y / h
@@ -279,8 +274,6 @@ def _trapezoid(origins, integrand, h: float, budget: int, tol_of):
             raise _unmet("integrand not finite", err, h, y, budget)
         if np.any(tail > 0.1 * tol):
             y *= 2.0
-            if y > _MAX_HALF_WIDTH:
-                raise _unmet("tail does not decay", err, h, y / 2.0, budget)
         elif np.any((floor > tol) & (disc <= floor)):
             raise _unmet("Airy bounds and rounding exceed the tolerance", err, h, y, budget)
         else:
@@ -380,20 +373,23 @@ def moment(n: int, gamma: float = CANONICAL_GAMMA,
 
 
 @lru_cache(maxsize=128)
-def _by_parts_rows(j: int, k: int) -> tuple:
+def _by_parts_rows(j: int, k: int) -> Union[tuple, str]:
     """The key of P(z, r) = (-1)^j (d^j 1/Ai)(d^k 1/Ai) Ai^2, r = Ai'/Ai.
     Each factor's terms have ell = k + 1, so each term of the product is
     c z^a r^b / Ai^2, coefficient a of row b.  No row ends in a zero and
     the last row is not empty, so for even j + k the splits (j, k) and
-    (k, j) share one key."""
+    (k, j) share one key.  A refusal is cached as its OverflowDomain message."""
     sign = -1 if j % 2 else 1
     rows: list[list[float]] = []
-    for t, c in algebra.term_sum_product(
-            algebra.inv_ai_derivative(j), algebra.inv_ai_derivative(k)).items():
-        assert t.ell - t.k == 2, t
-        rows += [[] for _ in range(t.k + 1 - len(rows))]
-        rows[t.k] += [0.0] * (t.j + 1 - len(rows[t.k]))
-        rows[t.k][t.j] = algebra._float(sign * c)
+    try:
+        for t, c in algebra.term_sum_product(
+                algebra.inv_ai_derivative(j), algebra.inv_ai_derivative(k)).items():
+            assert t.ell - t.k == 2, t
+            rows += [[] for _ in range(t.k + 1 - len(rows))]
+            rows[t.k] += [0.0] * (t.j + 1 - len(rows[t.k]))
+            rows[t.k][t.j] = algebra._float(sign * c)
+    except OverflowDomain as exc:
+        return str(exc)
     return tuple(map(tuple, rows))
 
 
@@ -409,7 +405,10 @@ def moment_by_parts(j: int, k: int,
     value 0 meets no relative tolerance (ROADMAP item 1, abs_tol, would)."""
     j = algebra._order("moment order", j)
     k = algebra._order("moment order", k)
-    return _real(_ai_product_integral(_by_parts_rows(j, k), 0, _spec(contour)), 1.0).value
+    rows = _by_parts_rows(j, k)
+    if isinstance(rows, str):       # the cached refusal
+        raise OverflowDomain(rows)
+    return _real(_ai_product_integral(rows, 0, _spec(contour)), 1.0).value
 
 
 def mean_max_quad(gamma: float = CANONICAL_GAMMA,

@@ -399,10 +399,11 @@ def test_env_reltol_roundtrip(capsys, monkeypatch):
 
 
 def test_env_reltol_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("CHERNOFF_RELTOL", "banana")
-    assert run(capsys, "moment", "--n", "2")[0] == 2
-    monkeypatch.setenv("CHERNOFF_RELTOL", "2")
-    assert run(capsys, "moment", "--n", "2")[0] == 2
+    for raw in ("banana", "2", "0", "1", "nan"):
+        monkeypatch.setenv("CHERNOFF_RELTOL", raw)
+        code, out, err = run(capsys, "moment", "--n", "2")
+        assert code == 2 and out == "", raw
+        assert "usage error: CHERNOFF_RELTOL=" in err, raw
 
 
 def test_env_reltol_unreachable(capsys, monkeypatch):

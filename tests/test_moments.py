@@ -5,7 +5,8 @@ tanh-sinh quadrature of the same contour integrands on z = iy, y in
 [-40, 40]) and are pasted here verbatim so the suite never depends on the
 code it is checking.  E V^10..20, cf(7.25..12) and f(3.5), f(4) are pasted
 from perfbench/references.json, which perfbench/make_references.py computes
-the same way without importing the package.
+the same way without importing the package; the seeded contour sweep reads
+that file directly.
 
 At the TAIL_POINTS the pointwise Airy bounds alone exceed the default
 1e-10 * |value|, so the default contour answers NoConvergence there; they
@@ -13,6 +14,7 @@ are checked on TAIL_CONTOUR instead.
 """
 
 import hashlib
+import json
 import math
 import sys
 import warnings
@@ -20,11 +22,12 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chernoff import airy, moments
+from chernoff import airy, algebra, moments
 from chernoff import (
     CANONICAL_GAMMA,
     ChernoffError,
@@ -206,6 +209,25 @@ def test_exact_coefficient_overflow_is_typed():
         moment_by_parts(163, 0)
     with pytest.raises(OverflowDomain, match="near 2\\^1328 overflows double precision"):
         contour_integral_inv_ai2(RationalPoly({0: 10**400}))
+
+
+def test_by_parts_overflow_is_refused_once(monkeypatch):
+    # the refusal is cached, so a repeat builds no exact product
+    moments._by_parts_rows.cache_clear()
+    calls = []
+    product = algebra.term_sum_product
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(algebra, "term_sum_product", counted)
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(OverflowDomain) as exc:
+            moment_by_parts(163, 0)
+        messages.add(str(exc.value))
+    assert len(calls) == 1 and len(messages) == 1
 
 
 def test_moment_validation():
@@ -486,6 +508,51 @@ def test_far_mgf_fails_typed_without_warnings(t):
             mgf_quad(t)
 
 
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text())
+
+
+def test_seeded_contour_sweep_returns_no_value_outside_its_error():
+    # the integrals do not depend on the contour, so the frozen references
+    # serve every draw; right of sigma = 8, and at sigma = 0 with rel_tol
+    # above 6e-4, a step sized from the strip alone samples the phase of
+    # 1/Ai^2 so coarsely that T_h and T_2h agree on values up to 1e149 off
+    rng = np.random.default_rng(16)
+    cf_ts, mgf_ts = sorted(REFERENCES["cf"]), sorted(REFERENCES["mgf"])
+    returned, lies = 0, []
+    for _ in range(300):
+        sigma = rng.uniform(-2.3, 3.0) if rng.random() < 0.5 else rng.uniform(3.0, 40.0)
+        spec = ContourSpec(sigma=float(sigma), rel_tol=float(10.0 ** rng.uniform(-13.0, -3.0)))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            n = 2 * int(rng.integers(7))
+            ref, call = REFERENCES["moments"][str(n)], lambda: moment_quad(n, contour=spec)
+        elif kind == 1:
+            t = cf_ts[int(rng.integers(len(cf_ts)))]
+            ref, call = REFERENCES["cf"][t], lambda: char_fn_quad(float(t), spec)
+        else:
+            t = mgf_ts[int(rng.integers(len(mgf_ts)))]
+            ref, call = REFERENCES["mgf"][t], lambda: mgf_quad(float(t), contour=spec)
+        try:
+            q = call()
+        except ChernoffError:
+            continue
+        returned += 1
+        if not abs(q.value - float(ref)) <= q.err_estimate:
+            lies.append((kind, spec, q))
+    assert lies == []
+    assert returned >= 100
+
+
+def test_node_budget_alone_bounds_the_height(monkeypatch):
+    # a tail that never decays doubles Y until the next table would pass
+    # the node budget
+    moments._ai_product_integral.cache_clear()
+    monkeypatch.setattr(moments, "_tail", lambda w, k, h, y: 1e300)
+    with pytest.raises(NoConvergence, match="node budget exhausted"):
+        moment_quad(2, contour=ContourSpec(sigma=2.0, rel_tol=1e-3))
+
+
 # ---------------------------------------------------------------- contour plumbing
 
 
@@ -733,6 +800,15 @@ def test_node_count_follows_inserts_and_evictions(monkeypatch):
         for line in moments._LINES.values():
             assert np.all(np.diff(line.y) > 0.0) and line.y[0] >= 0.0
     assert len(lines) > len(moments._LINES)     # some line was evicted
+
+
+def test_store_past_the_cap_keeps_only_the_table_being_read(monkeypatch):
+    # each mgf reads the line sigma and the line sigma + t; the insert that
+    # would pass the cap drops every other line
+    _empty_store(monkeypatch, cap=400)
+    for t in (0.75, 1.5, -1.5, 2.25):
+        mgf(t)
+    assert sorted(moments._LINES) == [0.0, 2.25]
 
 
 def test_one_line_stays_under_the_cap(monkeypatch):
