@@ -3,11 +3,13 @@
 Two-sided Brownian paths on a symmetric grid t = i h, |i| <= N, built from
 per-path counter-based generators (Philox keyed by (seed, path_index)), so
 path p is bit-identical no matter how paths are batched or distributed.
-Paths are built in blocks of about 2 MiB of grid values, sized to stay in
-a core's L2 cache, and the blocks run on a thread pool with one worker per
-core (the normal fills and array passes release the interpreter lock);
-results are read back in block order, so the samples are the same for any
-block size and any number of workers.
+Paths are built in blocks of about 512 KiB of grid values.  One worker
+thread per core (the normal fills and array passes release the interpreter
+lock) claims the blocks in path order and reuses one set of buffers for
+each: the increments, overwritten by W - gamma t^2 once they are summed,
+the path W and a tie-check mask, about 1.1 MiB, which stays in a core's
+2 MiB L2 cache.  Each block writes its own rows of the outputs, so the
+samples are the same for any block size and any number of workers.
 The argmax is taken over the grid with ties resolved toward the smallest
 |t| (then the smaller t); the sampling error is what `estimate` reports,
 while the O(h^{1/2})-to-O(h) discretization bias is measured, not assumed,
@@ -20,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +34,9 @@ from .algebra import _order
 from .errors import OverflowDomain, UnknownStatistic
 from .moments import CANONICAL_GAMMA, _is_real
 
-_BLOCK_BYTES = 2 * 2**20  # grid values per block: about one core's L2
+#: grid values per block; with the increments and the tie mask a block's
+#: working set is about 2.1 times this, inside one core's 2 MiB L2
+_BLOCK_BYTES = 2**19
 _BOUNDARY_MARGIN = 0.5
 _BOUNDARY_FRACTION = 1e-4
 
@@ -102,76 +107,118 @@ def _tie_break_order(t: np.ndarray) -> np.ndarray:
     return np.lexsort((t, np.abs(t)))
 
 
-def _pick_argmax(y: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _pick_argmax(y: np.ndarray, order: np.ndarray,
+                 mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise argmax with ties resolved by the given column order.
 
-    Only rows whose maximum occurs more than once are reordered.
+    Only rows whose maximum occurs more than once are reordered.  The tie
+    check's comparison is written into `mask` (bool, y's shape) if given.
     """
     pick = np.argmax(y, axis=1)
     mx = y[np.arange(y.shape[0]), pick]
-    tied = np.flatnonzero(np.count_nonzero(y == mx[:, None], axis=1) > 1)
+    hits = np.equal(y, mx[:, None], out=mask)
+    tied = np.flatnonzero(np.count_nonzero(hits, axis=1) > 1)
     if tied.size:
         hits = y[tied][:, order] == mx[tied, None]
         pick[tied] = order[np.argmax(hits, axis=1)]
     return pick
 
 
-def _block(cfg: SimConfig, lo: int, count: int, strides: tuple[int, ...]) -> list:
-    """Paths [lo, lo+count): one (v, m, w_at_argmax) triple of arrays per
-    stride, the argmax taken over every stride-th grid point."""
-    n = cfg.steps_per_side
-    sq = math.sqrt(cfg.step)
-    t = cfg.step * np.arange(-n, n + 1)
-    drift = cfg.gamma * t * t
+class _Plan:
+    """What every block of one call shares: the drift on the grid, each
+    stride's grid and tie-break order, and the output arrays."""
 
-    # Path p's increments are the stream of Philox keyed by (seed, p), read
-    # from its start; resetting one generator's state is far cheaper than
-    # constructing one per path.
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
-    incr = np.empty((count, 2 * n))
-    for i in range(count):
-        bitgen.state = {
+    def __init__(self, cfg: SimConfig, strides: tuple[int, ...]):
+        n = cfg.steps_per_side
+        self.cfg = cfg
+        self.rows = max(1, min(cfg.num_paths, _BLOCK_BYTES // (8 * (2 * n + 1))))
+        t = cfg.step * np.arange(-n, n + 1)
+        self.drift = cfg.gamma * t * t
+        self.grids = [(k, t[::k], _tie_break_order(t[::k])) for k in strides]
+        self.out = [tuple(np.empty(cfg.num_paths) for _ in range(3)) for _ in strides]
+
+
+class _Workspace:
+    """One worker thread's generator and block buffers, reused for every
+    block it takes."""
+
+    def __init__(self, plan: _Plan):
+        cols = 2 * plan.cfg.steps_per_side + 1
+        # Path p's increments are the stream of Philox keyed by (seed, p), read
+        # from its start; writing p into one reused state is far cheaper than
+        # constructing a generator per path.
+        self.bitgen = np.random.Philox(0)
+        self.gen = np.random.Generator(self.bitgen)
+        self.key = [plan.cfg.seed, 0]
+        self.state = {
             "bit_generator": "Philox",
-            "state": {"counter": zeros,
-                      "key": np.array([cfg.seed, lo + i], dtype=np.uint64)},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            "state": {"counter": (0, 0, 0, 0), "key": self.key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        gen.standard_normal(out=incr[i])
+        self.incr = np.empty((plan.rows, cols))  # increments, then y = w - drift
+        self.w = np.empty((plan.rows, cols))
+        self.mask = np.empty(plan.rows * cols, dtype=bool)
 
-    w = np.empty((count, 2 * n + 1))
+
+def _block(plan: _Plan, ws: _Workspace, lo: int, count: int) -> None:
+    """Paths [lo, lo+count) into their rows of plan.out: per stride k, the
+    (v, m, w_at_argmax) of the argmax over every k-th grid point."""
+    n = plan.cfg.steps_per_side
+    sq = math.sqrt(plan.cfg.step)
+    incr, w = ws.incr[:count], ws.w[:count]
+    for i in range(count):
+        ws.key[1] = lo + i
+        ws.bitgen.state = ws.state
+        ws.gen.standard_normal(out=incr[i, :2 * n])
+
     w[:, n] = 0.0
     np.cumsum(incr[:, :n], axis=1, out=w[:, n + 1:])
     w[:, n + 1:] *= sq
-    np.cumsum(incr[:, n:], axis=1, out=w[:, :n][:, ::-1])
+    np.cumsum(incr[:, n:2 * n], axis=1, out=w[:, :n][:, ::-1])
     w[:, :n] *= sq
-    y = w - drift
+    y = np.subtract(w, plan.drift, out=incr)
 
     rows = np.arange(count)
-    out = []
-    for k in strides:
-        pick = _pick_argmax(y[:, ::k], _tie_break_order(t[::k]))
-        out.append((t[::k][pick], y[:, ::k][rows, pick], w[:, ::k][rows, pick]))
-    return out
+    for (k, t, order), (v, m, w_at) in zip(plan.grids, plan.out):
+        yk = y[:, ::k]
+        pick = _pick_argmax(yk, order, ws.mask[:yk.size].reshape(yk.shape))
+        v[lo:lo + count] = t[pick]
+        m[lo:lo + count] = yk[rows, pick]
+        w_at[lo:lo + count] = w[:, ::k][rows, pick]
 
 
 def _sample(cfg: SimConfig, strides: tuple[int, ...]) -> list:
-    """All paths of cfg in blocks of about _BLOCK_BYTES of grid values, run on
-    a thread pool; one (v, m, w_at_argmax) triple of arrays per stride."""
+    """All paths of cfg in blocks of about _BLOCK_BYTES of grid values, which
+    one worker thread per core claims in path order; one (v, m,
+    w_at_argmax) triple of arrays per stride."""
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = max(1, _BLOCK_BYTES // (8 * (2 * cfg.steps_per_side + 1)))
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        blocks = [pool.submit(_block, cfg, lo, min(rows, cfg.num_paths - lo), strides)
-                  for lo in range(0, cfg.num_paths, rows)]
+    plan = _Plan(cfg, strides)
+    starts = iter(range(0, cfg.num_paths, plan.rows))
+    claim = threading.Lock()
+    stop = threading.Event()
+
+    def work():
         try:
-            parts = [b.result() for b in blocks]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return [tuple(np.concatenate([p[j][c] for p in parts]) for c in range(3))
-            for j in range(len(strides))]
+            ws = _Workspace(plan)
+            while not stop.is_set():
+                with claim:
+                    lo = next(starts, None)
+                if lo is None:
+                    break
+                _block(plan, ws, lo, min(plan.rows, cfg.num_paths - lo))
+        finally:
+            stop.set()  # a worker that fails stops the others claiming blocks
+
+    workers = min(_workers(), -(-cfg.num_paths // plan.rows))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running = [pool.submit(work) for _ in range(workers)]
+        try:
+            for r in running:
+                r.result()
+        finally:
+            stop.set()  # so does a Ctrl-C
+    return plan.out
 
 
 def simulate(cfg: SimConfig) -> SampleSet:

@@ -11,6 +11,7 @@ import importlib
 import math
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_failed_block_cancels_the_blocks_not_started(monkeypatch):
     # a failure (or Ctrl-C) must not wait for every queued block to run
     started = []
 
-    def block(cfg, lo, count, strides):
+    def block(plan, ws, lo, count):
         started.append(lo)
         if lo == 0:
             raise MemoryError("first block")
@@ -127,11 +128,35 @@ def test_failed_block_cancels_the_blocks_not_started(monkeypatch):
 
     monkeypatch.setattr(sim_module, "_block", block)
     monkeypatch.setattr(sim_module, "_workers", lambda: 1)
-    cfg = SimConfig(horizon=4.0, step=1e-2, num_paths=20 * 327, seed=0)
-    assert block_rows(cfg) == 327
+    cfg = SimConfig(horizon=4.0, step=1e-2, num_paths=20 * 81, seed=0)
+    assert block_rows(cfg) == 81
     with pytest.raises(MemoryError, match="first block"):
         simulate(cfg)
     assert len(started) <= 3
+
+
+def traced_peak(fn, cfg: SimConfig) -> int:
+    tracemalloc.start()
+    try:
+        fn(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_memory_does_not_grow_with_paths(monkeypatch):
+    # each worker reuses one block's buffers, so past the outputs (24 bytes
+    # per path per stride) the peak is a few blocks, whatever the path count
+    monkeypatch.setattr(sim_module, "_workers", lambda: 2)
+    simulate(SimConfig(num_paths=16, step=1e-3))  # first-call imports
+    for fn, strides in ((simulate, 1), (discretization_probe, 2)):
+        work = {}
+        for paths in (2000, 8000):
+            peak = traced_peak(fn, SimConfig(num_paths=paths, step=1e-3))
+            work[paths] = peak - 24 * paths * strides
+            assert work[paths] < 6 * 2**20, (fn.__name__, paths, peak)
+        # 64 KiB of slack for the interpreter's own bookkeeping
+        assert work[8000] <= work[2000] + 2**16, (fn.__name__, work)
 
 
 def test_seed_changes_output(small_set):
