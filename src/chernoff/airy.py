@@ -25,17 +25,17 @@ terms, and holding only the rows the block needs:
   (1, 2, 3, 4.5, 6, 7.5, 9): the count at which the term-by-term stopping
   rule (ratio of successive terms below 1/2, last terms below 1e-17 of
   the magnitude sums) stops at the band's outer radius, 34 at most.
-- An asymptotic point reads its own optimal-truncation index off the
-  first 41 terms (k <= 40).  Every point tried stops within them (the
-  most terms are needed near |z| = 9.4); a block with a point that has
-  not is summed again over all 61 terms (k <= 60).
+- An asymptotic point reads its own optimal-truncation index off the 41
+  terms k <= 40.  Every point tried stops within them (the most terms
+  are needed near |z| = 9.4); one that did not would sum all 41 and
+  count the last as its first omitted term, so its bound stays honest.
 - Each sum takes one error-free extraction (Rump, Ogita & Oishi, SIAM J.
   Sci. Comput. 31, 2008; see `_exact_sum`), so its rounding error is far
   below the 4 eps sum |t| (series) or 6 eps sum |t| (asymptotic) charged.
 
-Nothing is decided per block: a point that stops within the rows built
-has the truncation index and first omitted term it has among all 61, and
-zero terms beyond a point's truncation index change none of its sums, so
+Nothing is decided per block: a point's truncation index and first
+omitted term depend on its own terms alone, and zero terms beyond a
+point's truncation index change none of its sums, so
 every point's bits are those of its length-1 evaluation, and a point
 below the real axis is its mirror image's conjugate: tables gathered
 from a store of earlier nodes, read as conjugates below the axis, do not
@@ -71,10 +71,6 @@ _SLOPE = math.tan(math.pi / 3.0 - 1e-14)
 _DEFAULT_TARGET = 1e-12
 #: points per block, which bounds the kernel's working arrays
 _BLOCK = 256
-#: term rows a block with asymptotic points builds first: every point tried
-#: stops within 41 (the most are needed near |z| = 9.4), and a block with a
-#: point that has not is summed again over all _U.size rows
-_ROWS = 41
 
 #: series radius bands and the index of the last term summed in each
 _BAND_RADII = np.array([1.0, 2.0, 3.0, 4.5, 6.0, 7.5, 9.0])
@@ -82,11 +78,12 @@ _BAND_LAST = np.array([9, 13, 16, 20, 24, 29, 33])
 
 
 def _asymptotic_coefficients():
-    """u_k and v_k = u_k (6k+1)/(1-6k) of the Poincare expansion, k <= 60,
-    each correctly rounded from its exact ratio of integers."""
+    """u_k and v_k = u_k (6k+1)/(1-6k) of the Poincare expansion, k <= 40
+    (every asymptotic point tried truncates within them, the latest near
+    |z| = 9.4), each correctly rounded from its exact ratio of integers."""
     num, den = 1, 1
     us, vs = [1.0], [1.0]
-    for k in range(1, 61):
+    for k in range(1, 41):
         num *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1)
         den *= 216 * k * (2 * k - 1)
         us.append(num / den)
@@ -173,9 +170,8 @@ def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
     truncated optimally on their first series: before the first term that
     does not decrease, or after the first below 1e-18 of the partial sum;
     where neither comes, the last term is summed and also counted as the
-    first omitted one.  Returns the sums, the magnitude sums, |x|^last, the
-    first omitted magnitude, and whether every point from `free` on
-    stopped within the terms given.  coef and mag are overwritten.
+    first omitted one.  Returns the sums, the magnitude sums, |x|^last and
+    the first omitted magnitude.  coef and mag are overwritten.
     """
     n, cols = coef.shape[0], np.arange(x.size)
     p = _powers(x, n)
@@ -183,7 +179,6 @@ def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
     pr = np.abs(p)
     at = np.multiply(pr[:, None, :], mag, out=mag)
     trunc = np.zeros(x.size)
-    stopped = True
     if free < x.size:
         atu = at[1:, 0, free:]
         grows = np.zeros(atu.shape, bool)
@@ -192,7 +187,6 @@ def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
         j = stop.argmax(axis=0)
         k = cols[:j.size]
         hit = stop[j, k]
-        stopped = bool(hit.all())
         last[free:] = np.where(hit, j + ~grows[j, k], n - 1)
         trunc[free:] = np.where(hit, atu[j, k], atu[-1])
     m = int(last.max()) + 1
@@ -200,7 +194,7 @@ def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
     drop = (np.arange(m)[:, None] > last)[:, None, :]
     np.copyto(t, 0.0, where=drop)
     np.copyto(at, 0.0, where=drop)
-    return _exact_sum(t), np.add.reduce(at, axis=0), pr[last, cols], trunc, stopped
+    return _exact_sum(t), np.add.reduce(at, axis=0), pr[last, cols], trunc
 
 
 def _asymptotic_values(zeta, q, s, a, trunc):
@@ -254,27 +248,22 @@ def _block(z: np.ndarray):
     zeta[over] = 1.0                  # keeps exp finite on rows thrown away
     x = np.concatenate([z2 * zs, -1.0 / zeta])
     last = np.concatenate([band, np.zeros(na, int)])
-    # the rows the block needs: its series bands' terms and, with asymptotic
-    # points, _ROWS; all rows only if one of those has not stopped within them
-    rows = int(band.max(initial=-1)) + 1
-    if na:
-        rows = max(rows, _ROWS)
-    for n in (rows, _U.size):
-        # series rows: Ai = sum z^{3n} (c0 + c1 z), Ai' = sum z^{3n} (c2 + c3 z^2);
-        # asymptotic rows: sum u_k (-zeta)^{-k}, sum v_k (-zeta)^{-k}
-        c = _SER[:, :n, None]
-        coef = np.empty((n, 2, ns + na), complex)
-        mag = np.empty(coef.shape)
-        coef[:, 0, :ns] = c[0] + c[1] * zs
-        coef[:, 1, :ns] = c[2] + c[3] * z2
-        c = np.abs(c)
-        mag[:, 0, :ns] = c[0] + c[1] * rs
-        mag[:, 1, :ns] = c[2] + c[3] * rs2
-        coef[:, :, ns:] = _UV[:n]
-        mag[:, :, ns:] = np.abs(_UV[:n])
-        s, a, xn, trunc, stopped = _sums(x, coef, mag, last, ns)
-        if stopped:
-            break
+    # the rows the block needs: its series bands' terms, or all with
+    # asymptotic points.  Series rows: Ai = sum z^{3n} (c0 + c1 z), Ai' =
+    # sum z^{3n} (c2 + c3 z^2); asymptotic rows: sum u_k (-zeta)^{-k},
+    # sum v_k (-zeta)^{-k}
+    n = _U.size if na else int(band.max(initial=-1)) + 1
+    c = _SER[:, :n, None]
+    coef = np.empty((n, 2, ns + na), complex)
+    mag = np.empty(coef.shape)
+    coef[:, 0, :ns] = c[0] + c[1] * zs
+    coef[:, 1, :ns] = c[2] + c[3] * z2
+    c = np.abs(c)
+    mag[:, 0, :ns] = c[0] + c[1] * rs
+    mag[:, 1, :ns] = c[2] + c[3] * rs2
+    coef[:, :, ns:] = _UV[:n]
+    mag[:, :, ns:] = np.abs(_UV[:n])
+    s, a, xn, trunc = _sums(x, coef, mag, last, ns)
 
     ai = np.zeros(z.size, complex)
     aip = np.zeros(z.size, complex)

@@ -5,16 +5,20 @@ per-path counter-based generators (Philox keyed by (seed, path_index)), so
 path p is bit-identical no matter how paths are batched or distributed.
 Paths are built in blocks of about 512 KiB of grid values.  One worker
 thread per core (the normal fills and array passes release the interpreter
-lock) claims the blocks in path order and reuses one set of buffers for
+lock) claims the blocks in path order and reuses one pair of buffers for
 each: the increments, overwritten by W - gamma t^2 once they are summed,
-the path W and a tie-check mask, about 1.1 MiB, which stays in a core's
-2 MiB L2 cache.  Each block writes its own rows of the outputs, so the
-samples are the same for any block size and any number of workers.
-The argmax is taken over the grid with ties resolved toward the smallest
-|t| (then the smaller t); the sampling error is what `estimate` reports,
-while the O(h^{1/2})-to-O(h) discretization bias is measured, not assumed,
-by `discretization_probe`, which re-extracts the argmax of the same paths
-on the twice-coarser subgrid.
+and the path W, about 1 MiB, which stays in a core's 2 MiB L2 cache.  Each
+block writes its own rows of the outputs, so the samples are the same for
+any block size and any number of workers.
+
+A block stores its grid in tie-break order, t = 0, -h, +h, -2h, +2h, ...:
+the t < 0 side in the odd columns, the t > 0 side in the even ones.  The
+argmax is the first maximum in that order, which resolves ties toward the
+smallest |t| (then the smaller t).  The sampling error is what `estimate`
+reports, while the O(h^{1/2})-to-O(h) discretization bias is measured, not
+assumed, by `discretization_probe`, which re-extracts the argmax of the
+same paths on the twice-coarser subgrid: the columns of even grid index,
+in the same order.
 """
 from __future__ import annotations
 
@@ -34,8 +38,8 @@ from .algebra import _order
 from .errors import OverflowDomain, UnknownStatistic
 from .moments import CANONICAL_GAMMA, _is_real
 
-#: grid values per block; with the increments and the tie mask a block's
-#: working set is about 2.1 times this, inside one core's 2 MiB L2
+#: grid values per block; with the increments a block's working set is
+#: about twice this, inside one core's 2 MiB L2
 _BLOCK_BYTES = 2**19
 _BOUNDARY_MARGIN = 0.5
 _BOUNDARY_FRACTION = 1e-4
@@ -102,39 +106,21 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _tie_break_order(t: np.ndarray) -> np.ndarray:
-    # column visit order: smallest |t| first, negative before positive
-    return np.lexsort((t, np.abs(t)))
-
-
-def _pick_argmax(y: np.ndarray, order: np.ndarray,
-                 mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-wise argmax with ties resolved by the given column order.
-
-    Only rows whose maximum occurs more than once are reordered.  The tie
-    check's comparison is written into `mask` (bool, y's shape) if given.
-    """
-    pick = np.argmax(y, axis=1)
-    mx = y[np.arange(y.shape[0]), pick]
-    hits = np.equal(y, mx[:, None], out=mask)
-    tied = np.flatnonzero(np.count_nonzero(hits, axis=1) > 1)
-    if tied.size:
-        hits = y[tied][:, order] == mx[tied, None]
-        pick[tied] = order[np.argmax(hits, axis=1)]
-    return pick
-
-
 class _Plan:
-    """What every block of one call shares: the drift on the grid, each
-    stride's grid and tie-break order, and the output arrays."""
+    """What every block of one call shares: t and the drift in tie-break
+    column order, each stride's columns, and the output arrays."""
 
     def __init__(self, cfg: SimConfig, strides: tuple[int, ...]):
         n = cfg.steps_per_side
         self.cfg = cfg
         self.rows = max(1, min(cfg.num_paths, _BLOCK_BYTES // (8 * (2 * n + 1))))
-        t = cfg.step * np.arange(-n, n + 1)
-        self.drift = cfg.gamma * t * t
-        self.grids = [(k, t[::k], _tie_break_order(t[::k])) for k in strides]
+        i = np.zeros(2 * n + 1, dtype=int)  # grid index of each column
+        i[1::2] = -np.arange(1, n + 1)
+        i[2::2] = np.arange(1, n + 1)
+        self.t = cfg.step * i
+        self.drift = cfg.gamma * self.t * self.t
+        # stride k reads the grid points with i % k == 0, in the same order
+        self.grids = [(k, np.flatnonzero(i % k == 0)) for k in strides]
         self.out = [tuple(np.empty(cfg.num_paths) for _ in range(3)) for _ in strides]
 
 
@@ -157,7 +143,6 @@ class _Workspace:
         }
         self.incr = np.empty((plan.rows, cols))  # increments, then y = w - drift
         self.w = np.empty((plan.rows, cols))
-        self.mask = np.empty(plan.rows * cols, dtype=bool)
 
 
 def _block(plan: _Plan, ws: _Workspace, lo: int, count: int) -> None:
@@ -171,20 +156,26 @@ def _block(plan: _Plan, ws: _Workspace, lo: int, count: int) -> None:
         ws.bitgen.state = ws.state
         ws.gen.standard_normal(out=incr[i, :2 * n])
 
-    w[:, n] = 0.0
-    np.cumsum(incr[:, :n], axis=1, out=w[:, n + 1:])
-    w[:, n + 1:] *= sq
-    np.cumsum(incr[:, n:2 * n], axis=1, out=w[:, :n][:, ::-1])
-    w[:, :n] *= sq
+    w[:, 0] = 0.0
+    np.cumsum(incr[:, :n], axis=1, out=w[:, 2::2])
+    np.cumsum(incr[:, n:2 * n], axis=1, out=w[:, 1::2])
+    w *= sq
     y = np.subtract(w, plan.drift, out=incr)
 
     rows = np.arange(count)
-    for (k, t, order), (v, m, w_at) in zip(plan.grids, plan.out):
-        yk = y[:, ::k]
-        pick = _pick_argmax(yk, order, ws.mask[:yk.size].reshape(yk.shape))
-        v[lo:lo + count] = t[pick]
-        m[lo:lo + count] = yk[rows, pick]
-        w_at[lo:lo + count] = w[:, ::k][rows, pick]
+    for (k, cols), (v, m, w_at) in zip(plan.grids, plan.out):
+        # the first maximum in column order is the tie rule's pick
+        if k == 1:
+            pick = np.argmax(y, axis=1)
+        else:
+            # a coarse stride gathers its columns 64 KiB at a time; a copy
+            # of the whole block's would add 256 KiB per worker to peak RSS
+            step = max(1, 2**13 // cols.size)
+            pick = cols[np.concatenate([np.argmax(y[r:r + step, cols], axis=1)
+                                        for r in range(0, count, step)])]
+        v[lo:lo + count] = plan.t[pick]
+        m[lo:lo + count] = y[rows, pick]
+        w_at[lo:lo + count] = w[rows, pick]
 
 
 def _sample(cfg: SimConfig, strides: tuple[int, ...]) -> list:

@@ -18,12 +18,12 @@ import json
 import math
 import sys
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -512,6 +512,12 @@ REFERENCES = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text())
 
 
+def _draw_contour(rng) -> ContourSpec:
+    """sigma uniform left or right of 3, rel_tol log-uniform on [1e-13, 1e-3]."""
+    sigma = rng.uniform(-2.3, 3.0) if rng.random() < 0.5 else rng.uniform(3.0, 40.0)
+    return ContourSpec(sigma=float(sigma), rel_tol=float(10.0 ** rng.uniform(-13.0, -3.0)))
+
+
 def test_seeded_contour_sweep_returns_no_value_outside_its_error():
     # the integrals do not depend on the contour, so the frozen references
     # serve every draw; right of sigma = 8, and at sigma = 0 with rel_tol
@@ -521,8 +527,7 @@ def test_seeded_contour_sweep_returns_no_value_outside_its_error():
     cf_ts, mgf_ts = sorted(REFERENCES["cf"]), sorted(REFERENCES["mgf"])
     returned, lies = 0, []
     for _ in range(300):
-        sigma = rng.uniform(-2.3, 3.0) if rng.random() < 0.5 else rng.uniform(3.0, 40.0)
-        spec = ContourSpec(sigma=float(sigma), rel_tol=float(10.0 ** rng.uniform(-13.0, -3.0)))
+        spec = _draw_contour(rng)
         kind = int(rng.integers(3))
         if kind == 0:
             n = 2 * int(rng.integers(7))
@@ -542,6 +547,60 @@ def test_seeded_contour_sweep_returns_no_value_outside_its_error():
             lies.append((kind, spec, q))
     assert lies == []
     assert returned >= 100
+
+
+@pytest.mark.parametrize("seed", [17, 18])
+def test_seeded_sweep_over_gamma_splits_and_density_tol(seed):
+    # the same frozen references serve more kinds: E V^n and E M at gamma
+    # log-uniform on [0.25, 4] through the exact scaling, the by-parts
+    # splits with n <= 8 through the cached raw triple (moment_by_parts
+    # returns a bare float), and density tables at tol log-uniform on
+    # [1e-12, 1e-2], each value within tol of the density menu
+    rng = np.random.default_rng(seed)
+    menu = sorted(REFERENCES["density"], key=float)
+    returned, lies = 0, []
+    with mpmath.workdps(30):
+        for _ in range(400):
+            spec = _draw_contour(rng)
+            gamma = float(np.exp(rng.uniform(math.log(0.25), math.log(4.0))))
+            kind = int(rng.integers(4))
+            if kind == 0:
+                # V_gamma is length_scale(gamma) = (2 gamma^2)^{-1/3} times V
+                n = 2 * int(rng.integers(7))
+                ref = mpmath.mpf(REFERENCES["moments"][str(n)]) \
+                    / mpmath.cbrt(2 * mpmath.mpf(gamma) ** 2) ** n
+                call = lambda: moment_quad(n, gamma, spec)
+            elif kind == 1:
+                # E M scales as gamma^{-1/3}; the canonical gamma is 2^{-1/2}
+                ref = mpmath.mpf(REFERENCES["mean_max"]) / mpmath.cbrt(gamma * mpmath.sqrt(2))
+                call = lambda: mean_max_quad(gamma, spec)
+            elif kind == 2:
+                n = int(rng.integers(9))
+                k = int(rng.integers(n + 1))
+                rows = moments._by_parts_rows(n - k, k)
+                ref = mpmath.mpf(REFERENCES["moments"][str(n)])
+                call = lambda: moments._real(moments._ai_product_integral(rows, 0, spec), 1.0)
+            else:
+                tol = float(10.0 ** rng.uniform(-12.0, -2.0))
+                keys = rng.choice(menu, size=int(rng.integers(1, 9)), replace=False)
+                xs = np.array([float(x) for x in keys]) * rng.choice((-1.0, 1.0), keys.size)
+                try:
+                    f = density_grid(xs, tol=tol)
+                except ChernoffError:
+                    continue
+                returned += f.size
+                lies += [(x, tol, v) for x, key, v in zip(xs, keys, f)
+                         if not abs(v - float(REFERENCES["density"][key])) <= tol]
+                continue
+            try:
+                q = call()
+            except ChernoffError:
+                continue
+            returned += 1
+            if not abs(q.value - float(ref)) <= q.err_estimate:
+                lies.append((kind, gamma, spec, q))
+    assert lies == []
+    assert returned >= 400
 
 
 def test_node_budget_alone_bounds_the_height(monkeypatch):
@@ -592,7 +651,7 @@ def test_no_convergence_on_tiny_budget(monkeypatch):
 def _empty_store(monkeypatch, cap=None):
     # cached results would answer without reading the store
     moments._ai_product_integral.cache_clear()
-    monkeypatch.setattr(moments, "_LINES", OrderedDict())
+    monkeypatch.setattr(moments, "_LINES", {})
     if cap is not None:
         monkeypatch.setattr(moments, "_TABLE_NODES", cap)
 

@@ -32,7 +32,6 @@ from chernoff import (
     save_sample_set,
     simulate,
 )
-from chernoff.simulate import _pick_argmax, _tie_break_order
 
 # the package re-exports the function `simulate` under the module's name
 sim_module = importlib.import_module("chernoff.simulate")
@@ -182,13 +181,40 @@ def test_argmax_on_grid(small_set):
     assert small_set.num_paths == SMALL.num_paths
 
 
+class _Rows:
+    """Stands in for a worker's generator: path p's increments are row p."""
+
+    def __init__(self, incr, key):
+        self.incr, self.key = incr, key
+
+    def standard_normal(self, out):
+        out[...] = self.incr[self.key[1]]
+
+
+def block_picks(y):
+    """Run one block over paths whose grid values W(t) - t^2 are the rows of
+    y, t = -n..n at step 1 (so y is 0 at t = 0); the argmax t per stride."""
+    n = y.shape[1] // 2
+    t = np.arange(-n, n + 1.0)
+    w = y + t * t
+    cfg = SimConfig(gamma=1.0, horizon=float(n), step=1.0, num_paths=y.shape[0])
+    plan = sim_module._Plan(cfg, (1, 2))
+    ws = sim_module._Workspace(plan)
+    ws.gen = _Rows(np.concatenate([np.diff(w[:, n:]), np.diff(w[:, n::-1])], axis=1),
+                   ws.key)
+    sim_module._block(plan, ws, 0, y.shape[0])
+    for v, m, w_at in plan.out:
+        assert np.array_equal(m, w_at - v * v)
+    return [v for v, _, _ in plan.out]
+
+
 def test_tie_break_prefers_small_then_negative():
-    t = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
-    order = _tie_break_order(t)
-    y = np.array([[1.0, 5.0, 2.0, 5.0, 0.0], [1.0, 2.0, 3.0, 3.0, 3.0]])
-    pick = _pick_argmax(y, order)
-    assert t[pick[0]] == -0.1  # negative wins the |t| tie
-    assert t[pick[1]] == 0.0  # smallest |t| wins outright
+    y = np.array([[1.0, 5.0, 0.0, 5.0, 0.0], [1.0, 0.0, 0.0, 0.0, 1.0],
+                  [-1.0, 0.0, 0.0, 0.0, 0.0]])
+    # negative wins each |t| tie, and the smallest |t| wins outright
+    fine, coarse = block_picks(y)
+    assert list(fine) == [-1.0, -2.0, 0.0]
+    assert list(coarse) == [-2.0, -2.0, 0.0]
 
 
 def pick_argmax_full_reorder(y, order):
@@ -201,15 +227,16 @@ def pick_argmax_full_reorder(y, order):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_pick_argmax_matches_full_reorder(data):
-    n = data.draw(st.integers(1, 6))
+    n = 2 * data.draw(st.integers(1, 3))
     rows = data.draw(st.integers(1, 8))
     y = data.draw(hnp.arrays(np.float64, (rows, 2 * n + 1),
                              elements=st.integers(-2, 2).map(float)))
-    t = 0.25 * np.arange(-n, n + 1)
-    for k in (1, 2):
-        order = _tie_break_order(t[::k])
-        assert np.array_equal(_pick_argmax(y[:, ::k], order),
-                              pick_argmax_full_reorder(y[:, ::k], order))
+    y[:, n] = 0.0  # W(0) = 0
+    t = np.arange(-n, n + 1.0)
+    for k, v in zip((1, 2), block_picks(y)):
+        # smallest |t| first, negative before positive
+        order = np.lexsort((t[::k], np.abs(t[::k])))
+        assert np.array_equal(v, t[::k][pick_argmax_full_reorder(y[:, ::k], order)])
 
 
 # ---------------------------------------------------------------- estimators
