@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyUnreachable, OverflowDomain
+from .errors import AccuracyUnreachable, OverflowDomain, _as_complex, _as_int, _as_real
 
 # Ai(0) = 3^{-2/3}/Gamma(2/3), Ai'(0) = -3^{-1/3}/Gamma(1/3)
 _AI0 = 0.35502805388781723926006318600418317639797917419918
@@ -347,12 +346,9 @@ def airy_ai(z, target_abs_err: float = _DEFAULT_TARGET) -> AiryEval:
     AccuracyUnreachable.  On the real axis the returned imaginary parts are
     exactly zero.
     """
-    if not (isinstance(target_abs_err, (int, float)) and not isinstance(target_abs_err, bool)
-            and math.isfinite(target_abs_err) and target_abs_err > 0.0):
-        raise ValueError("target_abs_err must be a positive finite real")
-    if isinstance(z, bool) or not isinstance(z, numbers.Number) or not cmath.isfinite(z):
-        raise ValueError("z must be a finite number")
-    zc = complex(z)
+    target_abs_err = _as_real(target_abs_err, "target_abs_err must be a positive finite real",
+                              positive=True)
+    zc = _as_complex(z, "z must be a finite number")
     ai, aip, bnd = _ai_kernel(np.array([zc]))
     if np.isinf(ai[0]):
         # zeta as the kernel forms it, at the mirror image above the axis;
@@ -372,15 +368,12 @@ def airy_ai(z, target_abs_err: float = _DEFAULT_TARGET) -> AiryEval:
 
 
 _ZERO_MAX_N = 100
+_ZERO_INDEX = f"n must be an integer in [1, {_ZERO_MAX_N}]"
 
 
 def airy_zero(n: int) -> float:
     """The n-th negative zero a_n of Ai, n = 1..100 (a_1 = -2.33810741...)."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("n must be an integer")
-    if not 1 <= n <= _ZERO_MAX_N:
-        raise ValueError(f"n must be in [1, {_ZERO_MAX_N}]")
-    return _airy_zero_cached(n)
+    return _airy_zero_cached(_as_int(n, _ZERO_INDEX, 1, _ZERO_MAX_N))
 
 
 @lru_cache(maxsize=None)

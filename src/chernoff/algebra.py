@@ -24,9 +24,9 @@ Python ints; Fractions appear only in the public TermSum and RationalPoly
 values.  Every sum of those values is formed by _accumulate, which drops
 each key whose coefficients sum to 0 (the TermSum and RationalPoly
 constructors, TermSum addition and term_sum_product); every order or
-power taken from a caller is checked by _order; and an exact coefficient
-becomes a float only through _float, which raises OverflowDomain past the
-double range.
+power taken from a caller is checked by errors._as_int; and an exact
+coefficient becomes a float only through _float, which raises
+OverflowDomain past the double range.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .errors import NotIntegrable, OverflowDomain
+from .errors import NotIntegrable, OverflowDomain, _as_int
 
 RationalLike = Union[int, Fraction]
 
@@ -58,13 +58,6 @@ def _as_fraction(c: RationalLike) -> Fraction:
     if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-def _order(name: str, n) -> int:
-    """n if it is a nonnegative int (a bool is not one), else ValueError."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-    return n
 
 
 def _accumulate(pairs: Iterable[tuple]) -> dict:
@@ -221,7 +214,7 @@ def inv_ai_derivative(m: int) -> TermSum:
     2j + k == m (mod 3); these are checked by the test suite, not assumed
     here.
     """
-    return TermSum(_DERIVATIVES.get(_order("m", m)))
+    return TermSum(_DERIVATIVES.get(_as_int(m, "m must be a nonnegative integer")))
 
 
 def _reduce_class(d: int, atoms: dict) -> dict[int, Fraction]:
@@ -283,7 +276,9 @@ class RationalPoly:
 
     def __init__(self, coeffs: Union[dict, Iterable[tuple]] = ()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        self._coeffs = _accumulate((_order("power", p), _as_fraction(c)) for p, c in items)
+        self._coeffs = _accumulate(
+            (_as_int(p, "power must be a nonnegative integer"), _as_fraction(c))
+            for p, c in items)
 
     @property
     def is_zero(self) -> bool:
@@ -352,14 +347,16 @@ def moment_polynomial(n: int) -> RationalPoly:
     and reduce the contour integral of each term to the (j, 0, 2) form.
     Odd n yields the zero polynomial.
     """
+    n = _as_int(n, "n must be a nonnegative integer")
     atoms: dict[int, dict[int, int]] = {}
-    for (j, k, _), c in _DERIVATIVES.get(_order("n", n)).items():
+    for (j, k, _), c in _DERIVATIVES.get(n).items():
         atoms.setdefault(k, {})[j] = c  # times 1/Ai: the atom (j, k, k + 2)
     return RationalPoly(_reduce_class(2, atoms))
 
 
 def moment_polynomial_json(n: int) -> dict:
     """JSON-ready exact form: {"n": n, "coeffs": {"j": "num/den"}}."""
+    n = _as_int(n, "n must be a nonnegative integer")
     p = moment_polynomial(n)
     return {
         "n": n,
@@ -386,7 +383,8 @@ def sinh_gf_coefficient(n: int) -> Fraction:
     This is the conjectured closed form for the leading coefficient of p_n
     (n even); odd n gives 0.
     """
-    return Fraction(0) if _order("n", n) % 2 else _sinh_gf_coefficients(n // 2)[-1]
+    n = _as_int(n, "n must be a nonnegative integer")
+    return Fraction(0) if n % 2 else _sinh_gf_coefficients(n // 2)[-1]
 
 
 @dataclass(frozen=True)
@@ -430,7 +428,8 @@ def verify_conjectures(max_n: int) -> ConjectureReport:
     Odd n: p_n = 0.  Even n: deg p_n = n/2 exactly, the leading coefficient
     equals sinh_gf_coefficient(n), and only powers j == n/2 (mod 3) occur.
     """
-    sinh = _sinh_gf_coefficients(_order("max_n", max_n) // 2)
+    max_n = _as_int(max_n, "max_n must be a nonnegative integer")
+    sinh = _sinh_gf_coefficients(max_n // 2)
     rows = []
     for n in range(max_n + 1):
         p = moment_polynomial(n)

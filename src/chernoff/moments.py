@@ -45,9 +45,7 @@ every I; the zero polynomial (every odd moment) gives 0 without a table.
 """
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -59,7 +57,8 @@ import numpy as np
 from . import algebra
 from .airy import _ai_kernel, airy_zero
 from .algebra import RationalPoly
-from .errors import ContourTooLeft, NoConvergence, OverflowDomain
+from .errors import (ContourTooLeft, NoConvergence, OverflowDomain, _as_complex, _as_int,
+                     _as_real)
 
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
@@ -76,28 +75,26 @@ _START_HEIGHT = 12.0
 _LINE_NODES = 4000
 
 
-def _is_real(v) -> bool:
-    """True for a finite int or float that is not a bool."""
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-
-
 @dataclass(frozen=True)
 class ContourSpec:
     """Vertical-line contour Re z = sigma and the relative tolerance of the
-    integrals along it; the stepping rule finds the step and the height."""
+    integrals along it, held as floats; the stepping rule finds the step and
+    the height."""
 
     sigma: float = 0.0
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not _is_real(self.sigma):
-            raise ValueError("sigma must be a finite real")
-        if self.sigma <= airy_zero(1):
+        sigma = _as_real(self.sigma, "sigma must be a finite real")
+        if sigma <= airy_zero(1):
             raise ContourTooLeft(
-                f"sigma = {self.sigma} is not to the right of the first Airy "
+                f"sigma = {sigma} is not to the right of the first Airy "
                 f"zero a_1 = {airy_zero(1):.6f}")
-        if not (_is_real(self.rel_tol) and 0.0 < self.rel_tol < 1.0):
+        rel_tol = _as_real(self.rel_tol, "rel_tol must be in (0, 1)", positive=True)
+        if rel_tol >= 1.0:
             raise ValueError("rel_tol must be in (0, 1)")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 @lru_cache(maxsize=1)
@@ -341,17 +338,11 @@ def _real(raw: tuple, scale: float) -> QuadResult:
                       abs(scale) * ((err + abs(val.imag)) / _TWO_PI), nodes)
 
 
-def _validate_gamma(gamma: float) -> float:
-    if not (_is_real(gamma) and gamma > 0.0):
-        raise ValueError("gamma must be a positive real")
-    return float(gamma)
-
-
 def moment_quad(n: int, gamma: float = CANONICAL_GAMMA,
                 contour: Optional[ContourSpec] = None) -> QuadResult:
     """E V_gamma^n with its quadrature error estimate."""
-    n = algebra._order("moment order", n)
-    gamma = _validate_gamma(gamma)
+    n = _as_int(n, "moment order must be a nonnegative integer")
+    gamma = _as_real(gamma, "gamma must be a positive real", positive=True)
     try:
         scale = 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0)
         coeffs = _moment_coeffs(n)
@@ -403,8 +394,8 @@ def moment_by_parts(j: int, k: int,
     (all for n = 0, 2, 4, and (5, 1) to (1, 5)), 23 at 1e-8 and 55 at 1e-5,
     and the rest raise NoConvergence.  Every odd split raises at 1e-10: its
     value 0 meets no relative tolerance (ROADMAP item 1, abs_tol, would)."""
-    j = algebra._order("moment order", j)
-    k = algebra._order("moment order", k)
+    j = _as_int(j, "moment order must be a nonnegative integer")
+    k = _as_int(k, "moment order must be a nonnegative integer")
     rows = _by_parts_rows(j, k)
     if isinstance(rows, str):       # the cached refusal
         raise OverflowDomain(rows)
@@ -414,7 +405,7 @@ def moment_by_parts(j: int, k: int,
 def mean_max_quad(gamma: float = CANONICAL_GAMMA,
                   contour: Optional[ContourSpec] = None) -> QuadResult:
     """E M_gamma = -2^{-2/3} gamma^{-1/3} (1/2 pi i) int z/Ai(z)^2 dz."""
-    gamma = _validate_gamma(gamma)
+    gamma = _as_real(gamma, "gamma must be a positive real", positive=True)
     return _real(_ai_product_integral(_Z_ROWS, 0, _spec(contour)),
                  -(2.0 ** (-2.0 / 3.0)) * gamma ** (-1.0 / 3.0))
 
@@ -427,9 +418,8 @@ def mean_max(gamma: float = CANONICAL_GAMMA,
 def char_fn_quad(t: float, contour: Optional[ContourSpec] = None) -> QuadResult:
     """E exp(i t V) at canonical gamma: the mgf at i t on the contour's own
     line; the imaginary part is an error diagnostic."""
-    if not _is_real(t):
-        raise ValueError("t must be a finite real")
-    return mgf_quad(1j * float(t), contour=_spec(contour))
+    t = _as_real(t, "t must be a finite real")
+    return mgf_quad(1j * t, contour=_spec(contour))
 
 
 def char_fn(t: float, contour: Optional[ContourSpec] = None) -> complex:
@@ -443,22 +433,21 @@ def mgf_quad(t: complex, contour: Optional[ContourSpec] = None) -> QuadResult:
     sigma, by default ContourSpec(sigma=default_mgf_sigma(t)).  The shifted
     argument must stay right of the zeros too: sigma + Re t > a_1.
     """
-    if isinstance(t, bool) or not isinstance(t, numbers.Number) or not cmath.isfinite(t):
-        raise ValueError("t must be a finite number")
-    t = complex(t)
-    spec = contour if contour is not None else ContourSpec(sigma=default_mgf_sigma(t))
-    if spec.sigma + t.real <= airy_zero(1):
+    t = _as_complex(t, "t must be a finite number")
+    if contour is None:     # sigma + Re t >= a_1 + 1 on the default line
+        contour = ContourSpec(sigma=default_mgf_sigma(t))
+    elif contour.sigma + t.real <= airy_zero(1):
         raise ContourTooLeft(
-            f"need sigma + Re t > a_1; got sigma = {spec.sigma}, Re t = {t.real}, "
+            f"need sigma + Re t > a_1; got sigma = {contour.sigma}, Re t = {t.real}, "
             f"a_1 = {airy_zero(1):.6f}")
-    val, err, nodes = _ai_product_integral(((1.0,),), t, spec)
+    val, err, nodes = _ai_product_integral(((1.0,),), t, contour)
     return QuadResult(val / _TWO_PI, err / _TWO_PI, nodes)
 
 
 def default_mgf_sigma(t: complex) -> float:
     """The default mgf contour max(0, a_1 + 1 - Re t): both Ai arguments
     then stay right of the zeros with unit margin."""
-    return max(0.0, airy_zero(1) + 1.0 - t.real)
+    return max(0.0, airy_zero(1) + 1.0 - _as_complex(t, "t must be a finite number").real)
 
 
 def mgf(t: complex, contour: Optional[ContourSpec] = None) -> complex:
@@ -467,7 +456,7 @@ def mgf(t: complex, contour: Optional[ContourSpec] = None) -> complex:
 
 def length_scale(gamma: float) -> float:
     """s with V_gamma distributed as s * V at canonical gamma."""
-    gamma = _validate_gamma(gamma)
+    gamma = _as_real(gamma, "gamma must be a positive real", positive=True)
     return 2.0 ** (-1.0 / 3.0) * gamma ** (-2.0 / 3.0)
 
 
@@ -479,9 +468,8 @@ _X_BLOCK = 128
 
 def density(x: float, gamma: float = CANONICAL_GAMMA, tol: float = 1e-8) -> float:
     """Density of V_gamma at x within absolute error tol (see density_grid)."""
-    if not _is_real(x):
-        raise ValueError("x must be a finite real")
-    return float(density_grid(np.array([float(x)]), gamma, tol)[0])
+    x = _as_real(x, "x must be a finite real")
+    return float(density_grid(np.array([x]), gamma, tol)[0])
 
 
 def density_grid(xs, gamma: float = CANONICAL_GAMMA,
@@ -501,8 +489,9 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     gamma = 100 (f(0) = 16.3) and tol = 1e-12, which asks g for about 6e-14
     relative.
     """
-    gamma = _validate_gamma(gamma)
-    if not (isinstance(tol, (int, float)) and 1e-12 <= tol <= 1e-2):
+    gamma = _as_real(gamma, "gamma must be a positive real", positive=True)
+    tol = _as_real(tol, "tol must lie in [1e-12, 1e-2]")
+    if not 1e-12 <= tol <= 1e-2:
         raise ValueError("tol must lie in [1e-12, 1e-2]")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:

@@ -34,9 +34,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import _order
-from .errors import OverflowDomain, UnknownStatistic
-from .moments import CANONICAL_GAMMA, _is_real
+from .errors import OverflowDomain, UnknownStatistic, _as_int, _as_real
+from .moments import CANONICAL_GAMMA
 
 #: grid values per block; with the increments a block's working set is
 #: about twice this, inside one core's 2 MiB L2
@@ -47,6 +46,8 @@ _BOUNDARY_FRACTION = 1e-4
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The sampler's parameters, held as Python floats and ints."""
+
     gamma: float = CANONICAL_GAMMA
     horizon: float = 4.0
     step: float = 1e-3
@@ -54,18 +55,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_real(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be a positive real")
-        if not (_is_real(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be a positive real")
-        if not (_is_real(self.step) and 0 < self.step <= self.horizon):
+        checked = {
+            "gamma": _as_real(self.gamma, "gamma must be a positive real", True),
+            "horizon": _as_real(self.horizon, "horizon must be a positive real", True),
+            "step": _as_real(self.step, "step must lie in (0, horizon]", True),
+            "num_paths": _as_int(self.num_paths, "num_paths must be a positive integer", 1),
+            "seed": _as_int(self.seed, "seed must be an integer in [0, 2^63)", 0, 2**63 - 1),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if self.step > self.horizon:
             raise ValueError("step must lie in (0, horizon]")
-        if isinstance(self.num_paths, bool) or not isinstance(self.num_paths, int) \
-                or self.num_paths < 1:
-            raise ValueError("num_paths must be a positive integer")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
-                or not 0 <= self.seed < 2**63:
-            raise ValueError("seed must be an integer in [0, 2^63)")
         ratio = self.horizon / self.step
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError("horizon must be an integer multiple of step")
@@ -229,12 +229,12 @@ def estimate(s: SampleSet, statistic: str, order: Optional[int] = None,
     """Sample mean and standard error of one statistic.
 
     Statistics: "v_moment" (needs `order`), "m_mean", "w_at_argmax_mean",
-    "cos_v" (needs `t`).
+    "cos_v" (needs `t`).  An argument the statistic does not take is refused.
     """
     if s.num_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
     if statistic == "v_moment":
-        _order("v_moment order", order)
+        order = _as_int(order, "v_moment order must be a nonnegative integer")
         with np.errstate(over="ignore"):
             x = s.v ** order
     elif statistic == "m_mean":
@@ -242,11 +242,12 @@ def estimate(s: SampleSet, statistic: str, order: Optional[int] = None,
     elif statistic == "w_at_argmax_mean":
         x = s.w_at_argmax
     elif statistic == "cos_v":
-        if not _is_real(t):
-            raise ValueError("cos_v requires a finite real t")
-        x = np.cos(t * s.v)
+        x = np.cos(_as_real(t, "cos_v requires a finite real t") * s.v)
     else:
         raise UnknownStatistic(f"unknown statistic {statistic!r}")
+    for name, given, owner in (("order", order, "v_moment"), ("t", t, "cos_v")):
+        if given is not None and statistic != owner:
+            raise ValueError(f"{statistic} takes no {name}, got {name}={given!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         value, sd = float(x.mean()), float(x.std(ddof=1))
     if not (math.isfinite(value) and math.isfinite(sd)):

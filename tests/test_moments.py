@@ -603,6 +603,34 @@ def test_seeded_sweep_over_gamma_splits_and_density_tol(seed):
     assert returned >= 400
 
 
+def test_seeded_mgf_symmetry_sweep_off_the_imaginary_axis():
+    # complex t has no frozen reference, but V is symmetric, so
+    # mgf(t) = mgf(-t): each of the two goes on its own line, drawn over a
+    # width of 40 from the leftmost one that keeps both Ai arguments 0.05
+    # right of a_1, and a returned pair must agree within its two errors
+    rng = np.random.default_rng(19)
+    a1 = airy.airy_zero(1)
+    returned, lies = 0, []
+    for _ in range(300):
+        t = complex(rng.uniform(-6.0, 4.0), rng.uniform(-8.0, 8.0))
+        rel_tol = float(10.0 ** rng.uniform(-13.0, -3.0))
+        pair = []
+        for u in (t, -t):
+            sigma = a1 + 0.05 + max(0.0, -u.real) + float(rng.uniform(0.0, 40.0))
+            try:
+                pair.append(mgf_quad(u, ContourSpec(sigma=sigma, rel_tol=rel_tol)))
+            except ChernoffError:
+                pass
+        if len(pair) < 2:
+            continue
+        returned += 1
+        q1, q2 = pair
+        if not abs(q1.value - q2.value) <= q1.err_estimate + q2.err_estimate:
+            lies.append((t, rel_tol, q1, q2))
+    assert lies == []
+    assert returned >= 40
+
+
 def test_node_budget_alone_bounds_the_height(monkeypatch):
     # a tail that never decays doubles Y until the next table would pass
     # the node budget

@@ -278,6 +278,15 @@ def test_estimate_validation(small_set):
         estimate(small_set, "cos_v")  # missing t
     with pytest.raises(ValueError):
         estimate(small_set, "cos_v", t=float("nan"))
+    # an order no float holds is refused before any power is formed
+    with pytest.raises(ValueError):
+        estimate(small_set, "v_moment", order=10**400)
+    # an argument the statistic does not take is refused, not ignored
+    for statistic, kw in (("m_mean", {"order": 2}), ("w_at_argmax_mean", {"t": 1.0}),
+                          ("v_moment", {"order": 2, "t": 5.0}),
+                          ("cos_v", {"t": 1.0, "order": 2})):
+        with pytest.raises(ValueError, match="takes no"):
+            estimate(small_set, statistic, **kw)
     one = SampleSet(
         v=np.zeros(1), m=np.zeros(1), w_at_argmax=np.zeros(1), config=SMALL
     )
@@ -285,9 +294,10 @@ def test_estimate_validation(small_set):
         estimate(one, "m_mean")
 
 
-@pytest.mark.parametrize("order", [700, 1500])
+@pytest.mark.parametrize("order", [700, 1500, pytest.param(2**1000, id="2^1000")])
 def test_estimate_overflow_is_typed(order):
-    # 1.8^700 is finite but its squared deviations are not; 1.8^1500 is inf
+    # 1.8^700 is finite but its squared deviations are not; 1.8^1500 is inf,
+    # and so is 1.8^(2^1000), the power of an order near the float range
     v = np.array([1.8, -1.8, 0.5, 0.0])
     s = SampleSet(v=v, m=np.zeros(4), w_at_argmax=np.zeros(4), config=SMALL)
     with warnings.catch_warnings():
