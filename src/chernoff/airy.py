@@ -40,11 +40,19 @@ every point's bits are those of its length-1 evaluation, and a point
 below the real axis is its mirror image's conjugate: tables gathered
 from a store of earlier nodes, read as conjugates below the axis, do not
 depend on history.
+
+Each thread keeps its block arrays (the terms, their magnitudes, the
+powers and the high parts of the exact sums) in one buffer of its own,
+grown to the largest block it has evaluated (see `_block_arrays`): a warm
+193-node call takes no page faults, where arrays freed after every call
+took 150 to 190.  Which buffer a block used, and what it held before,
+moves no bit.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,7 +135,33 @@ class AiryEval:
     abs_error_bound: float
 
 
-def _exact_sum(t: np.ndarray) -> np.ndarray:
+#: this thread's buffer for the block arrays (see `_block_arrays`)
+_WORK = threading.local()
+
+
+def _block_arrays(n: int, cols: int):
+    """coef and mag (n, 2, cols), the powers x^k and |x|^k (n, cols), and
+    the high parts of `_exact_sum` (n, 2, 2 cols), all views of this
+    thread's buffer.  The high parts overlay mag and x^k, which `_sums`
+    has read by then.  The buffer grows to the largest block the thread
+    has evaluated and is kept: fresh arrays of this size (coef alone is
+    about 250 KB at 193 points), freed after every call, leave a heap top
+    that glibc trims, and the next call would fault every page back in.
+    Nothing a block returns is a view of the buffer.
+    """
+    c = 16 * n * cols                   # bytes of one complex (n, cols) array
+    buf = getattr(_WORK, "buf", None)
+    if buf is None or buf.size < 9 * c // 2:
+        # a power of two, so a block one column wider finds room
+        buf = _WORK.buf = np.empty(1 << (9 * c // 2 - 1).bit_length(), np.uint8)
+    return (np.ndarray((n, 2, cols), complex, buf, 0),
+            np.ndarray((n, 2, cols), float, buf, 2 * c),
+            np.ndarray((n, cols), complex, buf, 3 * c),
+            np.ndarray((n, cols), float, buf, 4 * c),
+            np.ndarray((n, 2, 2 * cols), float, buf, 2 * c))
+
+
+def _exact_sum(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Sum over the first axis, to within eps |sum| + 1e-26 max |t| per
     component, each component's result depending on its own terms alone.
 
@@ -136,46 +170,47 @@ def _exact_sum(t: np.ndarray) -> np.ndarray:
     t on the grid of multiples of eps sigma, and t - q is exact.  Every
     partial sum of the q is on that grid and below 2^53 steps, so sum q is
     exact in any order; the low parts t - q, each at most eps sigma, are
-    added in sequence.  t is overwritten.
+    added in sequence.  t and q, an array of t's float view's shape, are
+    overwritten.
     """
     r = t.view(np.float64)
-    sigma = np.ldexp(1.0, np.frexp(np.abs(r).max(axis=0))[1] + 7)
-    q = sigma + r
+    sigma = np.ldexp(1.0, np.frexp(np.abs(r, out=q).max(axis=0))[1] + 7)
+    np.add(sigma, r, out=q)
     q -= sigma
     r -= q
     return (q.sum(axis=0) + np.add.reduce(r, axis=0)).view(t.dtype)
 
 
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x^0 .. x^(n-1) along a new first axis.  x^k is x^(k - 2^j) x^(2^j)
-    for the largest 2^j <= k, so it does not depend on n."""
-    p = np.empty((n,) + x.shape, x.dtype)
+def _powers(x: np.ndarray, p: np.ndarray) -> None:
+    """x^0 .. x^(n-1) into the rows of p.  x^k is x^(k - 2^j) x^(2^j) for
+    the largest 2^j <= k, so it does not depend on n."""
+    n = p.shape[0]
     p[0] = 1.0
     done, xp = 1, x
     while done < n:
         take = min(done, n - done)
         np.multiply(p[:take], xp, out=p[done:done + take])
         done, xp = done + take, xp * xp
-    return p
 
 
-def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
-          free: int):
+def _sums(x: np.ndarray, arrays: tuple, last: np.ndarray, free: int):
     """sum_k coef_k x^k over k <= last, per point.
 
-    coef is (terms, 2, points): two series per point share the powers of
-    x.  mag bounds |coef| on the same layout; the magnitudes mag_k |x|^k
-    are summed for the rounding charge.  Points from index `free` on are
+    arrays are `_block_arrays`, coef and mag filled.  coef is (terms, 2,
+    points): two series per point share the powers of x.  mag bounds
+    |coef| on the same layout; the magnitudes mag_k |x|^k are summed for
+    the rounding charge.  Points from index `free` on are
     truncated optimally on their first series: before the first term that
     does not decrease, or after the first below 1e-18 of the partial sum;
     where neither comes, the last term is summed and also counted as the
     first omitted one.  Returns the sums, the magnitude sums, |x|^last and
-    the first omitted magnitude.  coef and mag are overwritten.
+    the first omitted magnitude.  All the arrays are overwritten.
     """
+    coef, mag, p, pr, high = arrays
     n, cols = coef.shape[0], np.arange(x.size)
-    p = _powers(x, n)
+    _powers(x, p)
     t = np.multiply(p[:, None, :], coef, out=coef)
-    pr = np.abs(p)
+    np.abs(p, out=pr)
     at = np.multiply(pr[:, None, :], mag, out=mag)
     trunc = np.zeros(x.size)
     if free < x.size:
@@ -193,7 +228,8 @@ def _sums(x: np.ndarray, coef: np.ndarray, mag: np.ndarray, last: np.ndarray,
     drop = (np.arange(m)[:, None] > last)[:, None, :]
     np.copyto(t, 0.0, where=drop)
     np.copyto(at, 0.0, where=drop)
-    return _exact_sum(t), np.add.reduce(at, axis=0), pr[last, cols], trunc
+    a = np.add.reduce(at, axis=0)       # before the high parts overwrite at
+    return _exact_sum(t, high[:m]), a, pr[last, cols], trunc
 
 
 def _asymptotic_values(zeta, q, s, a, trunc):
@@ -253,8 +289,8 @@ def _block(z: np.ndarray):
     # sum v_k (-zeta)^{-k}
     n = _U.size if na else int(band.max(initial=-1)) + 1
     c = _SER[:, :n, None]
-    coef = np.empty((n, 2, ns + na), complex)
-    mag = np.empty(coef.shape)
+    arrays = _block_arrays(n, ns + na)
+    coef, mag = arrays[:2]
     coef[:, 0, :ns] = c[0] + c[1] * zs
     coef[:, 1, :ns] = c[2] + c[3] * z2
     c = np.abs(c)
@@ -262,7 +298,7 @@ def _block(z: np.ndarray):
     mag[:, 1, :ns] = c[2] + c[3] * rs2
     coef[:, :, ns:] = _UV[:n]
     mag[:, :, ns:] = np.abs(_UV[:n])
-    s, a, xn, trunc = _sums(x, coef, mag, last, ns)
+    s, a, xn, trunc = _sums(x, arrays, last, ns)
 
     ai = np.zeros(z.size, complex)
     aip = np.zeros(z.size, complex)

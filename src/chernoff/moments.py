@@ -16,19 +16,21 @@ store (see `_node_table`).  All moments, E M, the identity suite, the
 density and the cf read the sigma = 0 line, and the mgf adds the line
 through sigma + t.  The cf is the mgf at i t on the caller's contour, so
 its shifted factor Ai(z + i t) lies on that same line.  On a strip of
-half-width a the error of T_h falls like e^{-2 pi a/h}; h starts at the
-coarsest power of two whose check could pass, below the phase period of F
-(see `_first_step`), so dyadic steps and quarter-integer shifts land on
-shared ordinates.  h is then halved, reusing the coarser nodes, until the
-error meets rel_tol * max(|value|, 1e-6 * h sum |F|); Y starts at
-_START_HEIGHT and doubles until the octave Y < |y| <= 2Y bounds what lies
-beyond 2Y.  The node budget alone ends both loops.  One line sum,
-`_trapezoid`, gathers the tables and charges every error; each integrand
-only says what a node contributes.  The error adds |T_h - T_2h| (T_2h from
-the even nodes of the same table), h times the pointwise Airy bounds,
-20 eps * h sum |F| for rounding, and that tail.  A line integral rests on
-at most _LINE_NODES Airy-evaluated nodes, a density table on
-_DENSITY_NODES; `panels_used` counts them.
+half-width a the error of T_h falls like e^{-2 pi a/h}.  The check at h
+compares T_h with T_2h, so it can pass only once T_2h meets the
+tolerance: h starts at the coarsest power of two for which T_2h can, and
+2h stays below the phase period of F (see `_first_step`), so dyadic
+steps and quarter-integer shifts land on shared ordinates, and a fresh
+line usually reaches the kernel once.  h is then halved, reusing the
+coarser nodes, until the error meets rel_tol * max(|value|, 1e-6 * h sum
+|F|); Y starts at _START_HEIGHT and doubles until the octave
+Y < |y| <= 2Y bounds what lies beyond 2Y.  The node budget alone ends
+both loops.  One line sum, `_trapezoid`, gathers the tables and charges
+every error; each integrand only says what a node contributes.  The error
+adds |T_h - T_2h| (T_2h from the even nodes of the same table), h times
+the pointwise Airy bounds, 20 eps * h sum |F| for rounding, and that
+tail.  A line integral rests on at most _LINE_NODES Airy-evaluated nodes,
+a density table on _DENSITY_NODES; `panels_used` counts them.
 
 All but the density are one integral,
 
@@ -197,22 +199,23 @@ def _dyadic_floor(w: float) -> float:
 
 def _first_step(a: float, tol: float) -> float:
     """The first step on a strip of half-width a about Re z = x = a + a_1:
-    the largest power of two at or below min(a, Y/2, 2 pi a / ln(1/tol),
-    max(1/32, 2/sqrt(max(x, 0) + 2))), Y = _START_HEIGHT.
+    half the largest power of two at or below min(a, 2 pi a / ln(1/tol),
+    max(1/32, 2/sqrt(max(x, 0) + 2))), so every cap bounds the first
+    check's coarse step 2 h0.
 
-    T_h errs by about M e^{-2 pi a/h} with M >= |int F|.  A coarser level
-    h' >= 2 h0 compares T_h' with T_2h', whose error M e^{-pi a/h'} is at
-    least M tol^{1/2}, so it could pass only with M far below the value.
-    One level finer leaves no margin: the first check then fails where
-    T_2h only just meets tol, and the rule stops a level too fine (cf(1)
-    at rel_tol 1e-13 on 770 nodes instead of 386).  Y/2 puts nodes in both
-    halves of the first octave.  The phase of 1/Ai(z)^2 turns by about
-    2 sqrt(x) per unit of y, and steps that sample one phase agree on a
-    wrong value (E V^2 at sigma = 40 would read -3.1e149); 1/32 keeps the
-    first level within the node budget.
+    T_h errs by about M e^{-2 pi a/h} with M >= |int F|.  The check at h
+    compares T_h with T_2h, so it can pass only once T_2h meets tol, that
+    is 2h <= 2 pi a / ln(1/tol).  A first level one step coarser returned
+    3 of 929 line integrals over the reference menus at rel_tol 1e-3 to
+    1e-13, and cost every fresh line a second kernel call; this one
+    returns 731.  The phase of 1/Ai(z)^2 turns by about 2 sqrt(x) per
+    unit of y, and steps that sample one phase agree on a wrong value (E
+    V^2 at sigma = 40 would read -3.1e149); 1/32 keeps the first level
+    within the node budget.  The phase cap is at most sqrt(2), so the
+    first level always has nodes in both halves of the first octave.
     """
     phase = max(1.0 / 32.0, 2.0 / math.sqrt(max(a + airy_zero(1), 0.0) + 2.0))
-    return _dyadic_floor(min(a, 0.5 * _START_HEIGHT, _TWO_PI * a / -math.log(tol), phase))
+    return 0.5 * _dyadic_floor(min(a, _TWO_PI * a / -math.log(tol), phase))
 
 
 def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:

@@ -7,7 +7,9 @@ frozen here so the suite does not silently drift with the oracle.
 import cmath
 import hashlib
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -376,6 +378,44 @@ KERNEL_DIGEST = "4ee1d1028bb00e5624230e60fa97b12b391c3341235388cf0cfb2717e9b0e8c
 def test_kernel_bits_frozen():
     digest = hashlib.sha256(b"".join(_bits(*airy._ai_kernel(DIGEST_POINTS))))
     assert digest.hexdigest() == KERNEL_DIGEST
+
+
+# contour lines of four lengths, so each thread's workspace grows to a
+# different block, and rings in each regime of the evaluator: series,
+# overlap, asymptotic in the sector and rotated beyond it
+THREAD_LINES = [x + 1j * np.linspace(-24.0, 24.0, n)
+                for x, n in ((0.0, 97), (-1.338, 193), (1.66, 385), (3.66, 1025))]
+THREAD_RINGS = [[r * cmath.exp(1j * (a0 + k * da)) for r in radii for k in range(8)]
+                for radii, a0, da in (((0.5, 1.5, 2.5, 3.5, 4.4), 0.0, math.pi / 4),
+                                      ((5.0, 6.0, 7.0, 8.0, 8.9), 0.0, math.pi / 4),
+                                      ((10.0, 14.0, 18.0, 22.0, 26.0), -_THIRD, _THIRD / 3.5),
+                                      ((10.0, 14.0, 18.0, 22.0, 26.0), _THIRD + 0.1,
+                                       (_THIRD - 0.2) / 7.0))]
+
+
+def _line_bits(z):
+    return _bits(*airy._ai_kernel(z))
+
+
+def _ring_bits(zs):
+    return _bits(np.array([(r.ai, r.ai_prime, r.abs_error_bound) for r in map(ai_eval, zs)]))
+
+
+def test_kernel_workspace_is_per_thread():
+    # each thread keeps its own block arrays; with switches forced every
+    # microsecond, threads that shared them would overwrite each other's
+    want = [_line_bits(z) for z in THREAD_LINES] + [_ring_bits(zs) for zs in THREAD_RINGS]
+    jobs = [(_line_bits, z) for z in THREAD_LINES] + [(_ring_bits, zs) for zs in THREAD_RINGS]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for shift in range(4):
+                order = jobs[shift:] + jobs[:shift]
+                got = list(pool.map(lambda job: job[0](job[1]), order))
+                assert got == want[shift:] + want[:shift]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @given(st.lists(points, min_size=1, max_size=100))
