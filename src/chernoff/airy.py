@@ -43,10 +43,10 @@ depend on history.
 
 Each thread keeps its block arrays (the terms, their magnitudes, the
 powers and the high parts of the exact sums) in one buffer of its own,
-grown to the largest block it has evaluated (see `_block_arrays`): a warm
-193-node call takes no page faults, where arrays freed after every call
-took 150 to 190.  Which buffer a block used, and what it held before,
-moves no bit.
+allocated once at the size of the largest block (see `_block_arrays`): a
+warm 193-node call takes no page faults, where arrays freed after every
+call took 150 to 190.  Which part of the buffer a block used, and what it
+held before, moves no bit.
 """
 from __future__ import annotations
 
@@ -137,23 +137,27 @@ class AiryEval:
 
 #: this thread's buffer for the block arrays (see `_block_arrays`)
 _WORK = threading.local()
+#: bytes of the largest block's arrays, 4.5 complex (rows, columns) arrays
+#: with every row and 3 columns per point: a rotated point in the overlap
+#: band takes one series column and its two rotations
+_WORK_BYTES = 9 * 16 * _U.size * 3 * _BLOCK // 2
 
 
 def _block_arrays(n: int, cols: int):
     """coef and mag (n, 2, cols), the powers x^k and |x|^k (n, cols), and
     the high parts of `_exact_sum` (n, 2, 2 cols), all views of this
     thread's buffer.  The high parts overlay mag and x^k, which `_sums`
-    has read by then.  The buffer grows to the largest block the thread
-    has evaluated and is kept: fresh arrays of this size (coef alone is
-    about 250 KB at 193 points), freed after every call, leave a heap top
-    that glibc trims, and the next call would fault every page back in.
-    Nothing a block returns is a view of the buffer.
+    has read by then.  The buffer is allocated once per thread, at the
+    size of the largest block, and kept: fresh arrays (coef alone is about
+    250 KB at 193 points), freed after every call, leave a heap top that
+    glibc trims, and the next call would fault every page back in; a
+    buffer replaced as blocks grow would fault in the pages of each one it
+    replaced.  Nothing a block returns is a view of the buffer.
     """
     c = 16 * n * cols                   # bytes of one complex (n, cols) array
     buf = getattr(_WORK, "buf", None)
-    if buf is None or buf.size < 9 * c // 2:
-        # a power of two, so a block one column wider finds room
-        buf = _WORK.buf = np.empty(1 << (9 * c // 2 - 1).bit_length(), np.uint8)
+    if buf is None:
+        buf = _WORK.buf = np.empty(_WORK_BYTES, np.uint8)
     return (np.ndarray((n, 2, cols), complex, buf, 0),
             np.ndarray((n, 2, cols), float, buf, 2 * c),
             np.ndarray((n, cols), complex, buf, 3 * c),

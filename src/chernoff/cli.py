@@ -4,7 +4,8 @@ Subcommands: polys, verify, moment, cf, mgf, density, mean-max, simulate.
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 numerical failure.  The
 CHERNOFF_RELTOL environment variable overrides the default quadrature
-relative tolerance.
+relative tolerance.  moment, cf, mgf and mean-max share one writer,
+`_scalar_output`: JSON, CSV, or plain text ending in `err<=`.
 """
 from __future__ import annotations
 
@@ -58,27 +59,26 @@ def _check_out(*paths: str) -> None:
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            print(text, file=fh)
     else:
         print(text)
 
 
 def _scalar_output(args, quantity: str, value: float, err: float,
-                   spec: moments.ContourSpec, plain: str, **extra) -> None:
+                   spec: moments.ContourSpec, plain: str, **extra) -> int:
+    """Write one quadrature result in args.format: JSON, CSV, or `plain`
+    followed by the error estimate."""
     if args.format == "json":
         doc = {"quantity": quantity, **extra, "value": value,
                "err_estimate": err, "contour": dataclasses.asdict(spec)}
         _emit(json.dumps(doc), args.out)
     elif args.format == "csv":
-        keys = list(extra)
-        head = "quantity," + ",".join(keys) + ",value,err_estimate"
-        row = quantity + "," + ",".join(str(extra[k]) for k in keys) \
-            + f",{value:.17g},{err:.3g}"
+        head = ",".join(["quantity", *extra, "value", "err_estimate"])
+        row = ",".join([quantity, *map(str, extra.values()), f"{value:.17g}", f"{err:.3g}"])
         _emit(head + "\n" + row, args.out)
     else:
-        _emit(plain, args.out)
+        _emit(f"{plain}  err<={err:.3g}", args.out)
+    return EXIT_OK
 
 
 def cmd_polys(args) -> int:
@@ -128,11 +128,9 @@ def cmd_verify(args) -> int:
 def cmd_moment(args) -> int:
     spec = _contour_from_env()
     qr = moments.moment_quad(args.n, args.gamma, spec)
-    _scalar_output(args, "moment", qr.value, qr.err_estimate, spec,
-                   f"E V^{args.n} (gamma={args.gamma:.10g}) = {qr.value:.15g}"
-                   f"  err<={qr.err_estimate:.3g}",
-                   n=args.n, gamma=args.gamma)
-    return EXIT_OK
+    return _scalar_output(args, "moment", qr.value, qr.err_estimate, spec,
+                          f"E V^{args.n} (gamma={args.gamma:.10g}) = {qr.value:.15g}",
+                          n=args.n, gamma=args.gamma)
 
 
 def cmd_cf(args) -> int:
@@ -141,12 +139,9 @@ def cmd_cf(args) -> int:
     s = moments.length_scale(args.gamma)
     qr = moments.char_fn_quad(s * args.t, spec)
     val = qr.value
-    err = qr.err_estimate + abs(val.imag)
-    _scalar_output(args, "char_fn", val.real, err, spec,
-                   f"cf({args.t:.10g}) (gamma={args.gamma:.10g}) = {val.real:.15g}"
-                   f"  err<={err:.3g}",
-                   t=args.t, gamma=args.gamma)
-    return EXIT_OK
+    return _scalar_output(args, "char_fn", val.real, qr.err_estimate + abs(val.imag), spec,
+                          f"cf({args.t:.10g}) (gamma={args.gamma:.10g}) = {val.real:.15g}",
+                          t=args.t, gamma=args.gamma)
 
 
 def cmd_mgf(args) -> int:
@@ -156,13 +151,10 @@ def cmd_mgf(args) -> int:
     spec = _contour_from_env(sigma)
     qr = moments.mgf_quad(s * t, contour=spec)
     val = qr.value
-    doc_extra = {"t_re": args.t_re, "t_im": args.t_im, "gamma": args.gamma,
-                 "value_im": val.imag}
-    _scalar_output(args, "mgf", val.real, qr.err_estimate, spec,
-                   f"mgf({t}) (gamma={args.gamma:.10g}) = {val.real:.15g}"
-                   f"{val.imag:+.3g}i  err<={qr.err_estimate:.3g}",
-                   **doc_extra)
-    return EXIT_OK
+    return _scalar_output(args, "mgf", val.real, qr.err_estimate, spec,
+                          f"mgf({t}) (gamma={args.gamma:.10g}) = {val.real:.15g}"
+                          f"{val.imag:+.3g}i",
+                          t_re=args.t_re, t_im=args.t_im, gamma=args.gamma, value_im=val.imag)
 
 
 def cmd_density(args) -> int:
@@ -191,11 +183,9 @@ def cmd_density(args) -> int:
 def cmd_mean_max(args) -> int:
     spec = _contour_from_env()
     qr = moments.mean_max_quad(args.gamma, spec)
-    _scalar_output(args, "mean_max", qr.value, qr.err_estimate, spec,
-                   f"E M (gamma={args.gamma:.10g}) = {qr.value:.15g}"
-                   f"  err<={qr.err_estimate:.3g}",
-                   gamma=args.gamma)
-    return EXIT_OK
+    return _scalar_output(args, "mean_max", qr.value, qr.err_estimate, spec,
+                          f"E M (gamma={args.gamma:.10g}) = {qr.value:.15g}",
+                          gamma=args.gamma)
 
 
 def cmd_simulate(args) -> int:
@@ -245,64 +235,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chernoff distribution: exact moment polynomials, "
                     "contour-integral numerics, and Monte Carlo simulation.")
     sub = ap.add_subparsers(dest="command", metavar="command")
+    gamma = ("--gamma", dict(type=float, default=moments.CANONICAL_GAMMA))
 
-    def common(p, fmt="plain"):
-        p.add_argument("--format", choices=("plain", "json", "csv"), default=fmt)
-        p.add_argument("--out", default=None, help="write output to a file")
+    def command(name, func, about, *flags, fmt="plain"):
+        """Subcommand `name` running func, with its (flag, keywords) pairs
+        in order, then --format (default fmt) and --out unless fmt is None."""
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func)
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        if fmt:
+            p.add_argument("--format", choices=("plain", "json", "csv"), default=fmt)
+            p.add_argument("--out", default=None, help="write output to a file")
 
-    p = sub.add_parser("polys", help="exact moment polynomials p_0..p_N")
-    p.add_argument("--max-n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_polys)
-
-    p = sub.add_parser("verify", help="exact conjecture checks + numeric identities")
-    p.add_argument("--max-n", type=int, default=30)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("moment", help="E V^n by contour integration")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=moments.CANONICAL_GAMMA)
-    common(p)
-    p.set_defaults(func=cmd_moment)
-
-    p = sub.add_parser("cf", help="characteristic function E exp(itV)")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=moments.CANONICAL_GAMMA)
-    common(p)
-    p.set_defaults(func=cmd_cf)
-
-    p = sub.add_parser("mgf", help="moment generating function E exp(tV)")
-    p.add_argument("--t-re", type=float, required=True)
-    p.add_argument("--t-im", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=moments.CANONICAL_GAMMA)
-    common(p)
-    p.set_defaults(func=cmd_mgf)
-
-    p = sub.add_parser("density", help="density table (CSV: x,f)")
-    p.add_argument("--from", dest="x_from", type=float, required=True)
-    p.add_argument("--to", dest="x_to", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=moments.CANONICAL_GAMMA)
-    p.add_argument("--tol", type=float, default=1e-8)
-    common(p, fmt="csv")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("mean-max", help="E M, the expected maximum")
-    p.add_argument("--gamma", type=float, default=moments.CANONICAL_GAMMA)
-    common(p)
-    p.set_defaults(func=cmd_mean_max)
-
-    p = sub.add_parser("simulate", help="Monte Carlo oracle; writes CSV + sidecar")
-    p.add_argument("--gamma", type=float, default=moments.CANONICAL_GAMMA)
-    p.add_argument("--horizon", type=float, default=4.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--paths", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="chernoff_samples.csv")
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.set_defaults(func=cmd_simulate)
-
+    command("polys", cmd_polys, "exact moment polynomials p_0..p_N",
+            ("--max-n", dict(type=int, required=True)))
+    command("verify", cmd_verify, "exact conjecture checks + numeric identities",
+            ("--max-n", dict(type=int, default=30)), fmt=None)
+    command("moment", cmd_moment, "E V^n by contour integration",
+            ("--n", dict(type=int, required=True)), gamma)
+    command("cf", cmd_cf, "characteristic function E exp(itV)",
+            ("--t", dict(type=float, required=True)), gamma)
+    command("mgf", cmd_mgf, "moment generating function E exp(tV)",
+            ("--t-re", dict(type=float, required=True)),
+            ("--t-im", dict(type=float, default=0.0)),
+            ("--sigma", dict(type=float, default=None)), gamma)
+    command("density", cmd_density, "density table (CSV: x,f)",
+            ("--from", dict(dest="x_from", type=float, required=True)),
+            ("--to", dict(dest="x_to", type=float, required=True)),
+            ("--step", dict(type=float, required=True)), gamma,
+            ("--tol", dict(type=float, default=1e-8)), fmt="csv")
+    command("mean-max", cmd_mean_max, "E M, the expected maximum", gamma)
+    command("simulate", cmd_simulate, "Monte Carlo oracle; writes CSV + sidecar", gamma,
+            ("--horizon", dict(type=float, default=4.0)),
+            ("--step", dict(type=float, default=1e-3)),
+            ("--paths", dict(type=int, default=10_000)),
+            ("--seed", dict(type=int, default=0)),
+            ("--out", dict(default="chernoff_samples.csv")),
+            ("--format", dict(choices=("plain", "json"), default="plain")), fmt=None)
     return ap
 
 
@@ -311,8 +281,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return EXIT_OK if code == 0 else EXIT_USAGE
+        return EXIT_OK if exc.code in (None, 0) else EXIT_USAGE
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -490,7 +490,9 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     also when the Airy-bound floor exceeds the tolerance that the absolute
     tol implies for each factor g: at large gamma with a tight tol, such as
     gamma = 100 (f(0) = 16.3) and tol = 1e-12, which asks g for about 6e-14
-    relative.
+    relative.  Raises ValueError for xs that are not finite, and
+    OverflowDomain for finite xs whose canonical-scale points
+    xs / length_scale(gamma) overflow.
     """
     gamma = _as_real(gamma, "gamma must be a positive real", positive=True)
     tol = _as_real(tol, "tol must lie in [1e-12, 1e-2]")
@@ -499,10 +501,14 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("xs must be one-dimensional")
-    s = length_scale(gamma)
-    u = xs / s
-    if not np.all(np.isfinite(u)):
+    if not np.all(np.isfinite(xs)):
         raise ValueError("xs must be finite")
+    s = length_scale(gamma)
+    with np.errstate(over="ignore"):
+        u = xs / s
+    if not np.all(np.isfinite(u)):
+        raise OverflowDomain(f"xs / length_scale(gamma) at gamma = {gamma!r} "
+                             "overflows double precision")
     u_max = float(np.max(np.abs(u), initial=0.0))
     h = _first_step(-airy_zero(1), tol)
     while 2.0 * h * u_max > math.pi:

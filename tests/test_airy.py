@@ -418,6 +418,21 @@ def test_kernel_workspace_is_per_thread():
         sys.setswitchinterval(interval)
 
 
+def test_kernel_workspace_is_allocated_once():
+    # a thread's first block sizes its buffer for the largest one, so a
+    # larger block later finds room and faults in no replacement's pages
+    def buffers():
+        seen = []
+        for z in (THREAD_LINES[0], THREAD_LINES[3][:airy._BLOCK]):
+            airy._ai_kernel(z)
+            seen.append(airy._WORK.buf)
+        return seen
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first, second = pool.submit(buffers).result(timeout=60)
+    assert second is first and first.nbytes == airy._WORK_BYTES
+
+
 @given(st.lists(points, min_size=1, max_size=100))
 @settings(max_examples=40, deadline=None)
 def test_kernel_is_conjugate_symmetric(zs):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output formats, schemas, exit codes, determinism."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,35 @@ def test_mean_max_json(capsys):
     assert abs(doc["value"] - 0.8875070844745322) < 1e-9
 
 
+# each command's plain pattern (value, err) and CSV header and row prefix,
+# the prefix formatted with the command's JSON document
+SCALAR_TEXT = [
+    (("cf", "--t", "1", "--gamma", "2"), r"cf\(1\) \(gamma=2\) = (\S+)  err<=(\S+)",
+     "quantity,t,gamma,value,err_estimate", "char_fn,1.0,2.0"),
+    (("mgf", "--t-re", "-3", "--t-im", "0.5"),
+     r"mgf\(\(-3\+0\.5j\)\) \(gamma=0\.7071067812\) = (\S+?)[+-]\S+i  err<=(\S+)",
+     "quantity,t_re,t_im,gamma,value_im,value,err_estimate",
+     "mgf,-3.0,0.5,0.7071067811865475,{value_im}"),
+    (("mean-max", "--gamma", "2"), r"E M \(gamma=2\) = (\S+)  err<=(\S+)",
+     "quantity,gamma,value,err_estimate", "mean_max,2.0"),
+]
+
+
+@pytest.mark.parametrize("argv, plain, head, row", SCALAR_TEXT)
+def test_scalar_plain_and_csv(capsys, argv, plain, head, row):
+    # the plain text and the CSV row carry the JSON document's value and error
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    value, err = doc["value"], doc["err_estimate"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    m = re.fullmatch(plain, out.rstrip("\n"))
+    assert m and m.groups() == (f"{value:.15g}", f"{err:.3g}"), out
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [head, f"{row.format(**doc)},{value:.17g},{err:.3g}"]
+
+
 # ---------------------------------------------------------------- density
 
 
@@ -377,6 +407,28 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "moment", "--help")[0] == 0
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("polys", ["--max-n", "--format", "--out"]),
+    ("verify", ["--max-n"]),
+    ("moment", ["--n", "--gamma", "--format", "--out"]),
+    ("cf", ["--t", "--gamma", "--format", "--out"]),
+    ("mgf", ["--t-re", "--t-im", "--sigma", "--gamma", "--format", "--out"]),
+    ("density", ["--from", "--to", "--step", "--gamma", "--tol", "--format", "--out"]),
+    ("mean-max", ["--gamma", "--format", "--out"]),
+    ("simulate", ["--gamma", "--horizon", "--step", "--paths", "--seed", "--out", "--format"]),
+])
+def test_subcommand_help_names_its_flags(capsys, command, flags):
+    # in order: argparse's usage line, printed with every usage error, follows it
+    code, out, err = run(capsys, command, "--help")
+    assert code == 0 and err == ""
+    assert re.findall(r"^  (--[a-z-]+)", out, re.M) == flags
+
+
+def test_verify_max_n_below_two(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "1")
+    assert (code, out, err) == (2, "", "usage error: --max-n must be >= 2\n")
+
+
 def test_bad_flag_values(capsys):
     assert run(capsys, "moment", "--n", "-2")[0] == 2
     assert run(capsys, "moment", "--n", "2", "--gamma", "-1")[0] == 2
@@ -417,6 +469,8 @@ def test_env_reltol_unreachable(capsys, monkeypatch):
     ("moment", "--n", "2", "--gamma", "1e-300"),     # the gamma power overflows
     ("moment", "--n", "202"),                        # and p_202's coefficients
     ("mgf", "--t-re", "1e300"),                      # Ai(z + t) underflows
+    ("density", "--from", "1e308", "--to", "1e308", "--step", "1",
+     "--gamma", "1e6"),                              # x / length_scale(gamma)
 ])
 def test_out_of_range_is_a_numerical_failure(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1053,6 +1053,22 @@ def test_density_grid_out_of_budget_raises():
         density_grid(np.array([-6.0, 6.0]), gamma=1e4)
 
 
+def test_density_grid_non_finite_xs_rejected():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="xs must be finite"):
+            density_grid(np.array([0.0, bad]))
+
+
+def test_density_overflow_at_canonical_scale_is_typed():
+    # x / length_scale(1e6) overflows for a finite x near the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowDomain, match="overflows double precision"):
+            density(1e308, gamma=1e6)
+        with pytest.raises(OverflowDomain):
+            density_grid(np.array([0.0, -1e308]), gamma=1e6)
+
+
 def test_density_grid_airy_floor_at_large_gamma():
     # f(0) = 16.3 at gamma = 100: an absolute tol of 1e-12 asks each factor
     # g for about 6e-14 relative, below the Airy-bound floor (ROADMAP item 5)
