@@ -43,10 +43,9 @@ depend on history.
 
 Each thread keeps its block arrays (the terms, their magnitudes, the
 powers and the high parts of the exact sums) in one buffer of its own,
-allocated once at the size of the largest block (see `_block_arrays`): a
-warm 193-node call takes no page faults, where arrays freed after every
-call took 150 to 190.  Which part of the buffer a block used, and what it
-held before, moves no bit.
+allocated once at the size of the largest block (see `_block_arrays`), so
+a warm 193-node call takes no page faults.  Which part of the buffer a
+block used, and what it held before, moves no bit.
 """
 from __future__ import annotations
 

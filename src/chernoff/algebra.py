@@ -24,7 +24,8 @@ Python ints; Fractions appear only in the public TermSum and RationalPoly
 values.  Every sum of those values is formed by _accumulate, which drops
 each key whose coefficients sum to 0 (the TermSum and RationalPoly
 constructors, TermSum addition and term_sum_product); every order or
-power taken from a caller is checked by errors._as_int; and an exact
+power taken from a caller, and each power of an AiryTerm a caller builds,
+is checked by errors._as_order against the bound N = 500; and an exact
 coefficient becomes a float only through _float, which raises
 OverflowDomain past the double range.
 """
@@ -39,7 +40,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .errors import NotIntegrable, OverflowDomain, _as_int
+from .errors import NotIntegrable, OverflowDomain, _as_order
 
 RationalLike = Union[int, Fraction]
 
@@ -83,8 +84,8 @@ def _as_term(t) -> AiryTerm:
         t = AiryTerm(*t)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in t):
         raise TypeError("AiryTerm indices must be integers")
-    if t.j < 0 or t.k < 0:
-        raise ValueError(f"AiryTerm powers j, k must be nonnegative: {t}")
+    _as_order(t.j, "AiryTerm power j")
+    _as_order(t.k, "AiryTerm power k")
     return t
 
 
@@ -113,7 +114,9 @@ class TermSum:
         return iter(sorted(self._terms.items()))
 
     def coefficient(self, t) -> Fraction:
-        return self._terms.get(_as_term(t), Fraction(0))
+        """The coefficient of atom t, 0 if absent.  A plain lookup, so it
+        reads the atoms past the bound N that products and derivatives hold."""
+        return self._terms.get(AiryTerm(*t), Fraction(0))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -168,7 +171,7 @@ def _derivative(coeffs: dict) -> dict:
 
 def term_sum_derivative(s: TermSum) -> TermSum:
     """d/dz of a TermSum, via Ai'' = z Ai."""
-    return TermSum(_derivative(s._terms))
+    return TermSum._of(_accumulate((AiryTerm(*t), c) for t, c in _derivative(s._terms).items()))
 
 
 def term_sum_product(a: TermSum, b: TermSum) -> TermSum:
@@ -214,7 +217,7 @@ def inv_ai_derivative(m: int) -> TermSum:
     2j + k == m (mod 3); these are checked by the test suite, not assumed
     here.
     """
-    return TermSum(_DERIVATIVES.get(_as_int(m, "m must be a nonnegative integer")))
+    return TermSum(_DERIVATIVES.get(_as_order(m, "m")))
 
 
 def _reduce_class(d: int, atoms: dict) -> dict[int, Fraction]:
@@ -265,8 +268,8 @@ def reduce_term_sum(s: TermSum) -> TermSum:
         if t.ell <= t.k:
             raise NotIntegrable(f"reduction needs ell > k, got {t}")
         classes.setdefault(t.ell - t.k, {}).setdefault(t.k, {})[t.j] = c
-    return TermSum({AiryTerm(j, 0, d): c for d, atoms in classes.items()
-                    for j, c in _reduce_class(d, atoms).items()})
+    return TermSum._of({AiryTerm(j, 0, d): c for d, atoms in classes.items()
+                        for j, c in _reduce_class(d, atoms).items()})
 
 
 class RationalPoly:
@@ -277,7 +280,7 @@ class RationalPoly:
     def __init__(self, coeffs: Union[dict, Iterable[tuple]] = ()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         self._coeffs = _accumulate(
-            (_as_int(p, "power must be a nonnegative integer"), _as_fraction(c))
+            (_as_order(p, "power"), _as_fraction(c))
             for p, c in items)
 
     @property
@@ -347,7 +350,7 @@ def moment_polynomial(n: int) -> RationalPoly:
     and reduce the contour integral of each term to the (j, 0, 2) form.
     Odd n yields the zero polynomial.
     """
-    n = _as_int(n, "n must be a nonnegative integer")
+    n = _as_order(n, "n")
     atoms: dict[int, dict[int, int]] = {}
     for (j, k, _), c in _DERIVATIVES.get(n).items():
         atoms.setdefault(k, {})[j] = c  # times 1/Ai: the atom (j, k, k + 2)
@@ -356,7 +359,7 @@ def moment_polynomial(n: int) -> RationalPoly:
 
 def moment_polynomial_json(n: int) -> dict:
     """JSON-ready exact form: {"n": n, "coeffs": {"j": "num/den"}}."""
-    n = _as_int(n, "n must be a nonnegative integer")
+    n = _as_order(n, "n")
     p = moment_polynomial(n)
     return {
         "n": n,
@@ -383,7 +386,7 @@ def sinh_gf_coefficient(n: int) -> Fraction:
     This is the conjectured closed form for the leading coefficient of p_n
     (n even); odd n gives 0.
     """
-    n = _as_int(n, "n must be a nonnegative integer")
+    n = _as_order(n, "n")
     return Fraction(0) if n % 2 else _sinh_gf_coefficients(n // 2)[-1]
 
 
@@ -428,7 +431,7 @@ def verify_conjectures(max_n: int) -> ConjectureReport:
     Odd n: p_n = 0.  Even n: deg p_n = n/2 exactly, the leading coefficient
     equals sinh_gf_coefficient(n), and only powers j == n/2 (mod 3) occur.
     """
-    max_n = _as_int(max_n, "max_n must be a nonnegative integer")
+    max_n = _as_order(max_n, "max_n")
     sinh = _sinh_gf_coefficients(max_n // 2)
     rows = []
     for n in range(max_n + 1):

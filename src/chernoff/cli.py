@@ -5,7 +5,8 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 numerical failure.  The
 CHERNOFF_RELTOL environment variable overrides the default quadrature
 relative tolerance.  moment, cf, mgf and mean-max share one writer,
-`_scalar_output`: JSON, CSV, or plain text ending in `err<=`.
+`_scalar_output`: JSON, CSV, or plain text ending in `err<=`.  density
+writes CSV (the default) or JSON.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import algebra, moments
 from .simulate import SimConfig, estimate, save_sample_set
 from .simulate import simulate as run_paths
-from .errors import AccuracyUnreachable, NoConvergence, OverflowDomain
+from .errors import AccuracyUnreachable, NoConvergence, OverflowDomain, _as_order
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -84,6 +85,7 @@ def _scalar_output(args, quantity: str, value: float, err: float,
 def cmd_polys(args) -> int:
     if args.max_n < 0:
         raise _UsageError("--max-n must be >= 0")
+    _as_order(args.max_n, "--max-n")    # before p_0..p_N are built, not after
     if args.format == "json":
         docs = [algebra.moment_polynomial_json(n) for n in range(args.max_n + 1)]
         _emit(json.dumps(docs), args.out)
@@ -237,21 +239,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", metavar="command")
     gamma = ("--gamma", dict(type=float, default=moments.CANONICAL_GAMMA))
 
-    def command(name, func, about, *flags, fmt="plain"):
+    def command(name, func, about, *flags, formats=("plain", "json", "csv")):
         """Subcommand `name` running func, with its (flag, keywords) pairs
-        in order, then --format (default fmt) and --out unless fmt is None."""
+        in order, then --format (default formats[0]) and --out if formats."""
         p = sub.add_parser(name, help=about)
         p.set_defaults(func=func)
         for flag, kw in flags:
             p.add_argument(flag, **kw)
-        if fmt:
-            p.add_argument("--format", choices=("plain", "json", "csv"), default=fmt)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
             p.add_argument("--out", default=None, help="write output to a file")
 
     command("polys", cmd_polys, "exact moment polynomials p_0..p_N",
             ("--max-n", dict(type=int, required=True)))
     command("verify", cmd_verify, "exact conjecture checks + numeric identities",
-            ("--max-n", dict(type=int, default=30)), fmt=None)
+            ("--max-n", dict(type=int, default=30)), formats=())
     command("moment", cmd_moment, "E V^n by contour integration",
             ("--n", dict(type=int, required=True)), gamma)
     command("cf", cmd_cf, "characteristic function E exp(itV)",
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--from", dict(dest="x_from", type=float, required=True)),
             ("--to", dict(dest="x_to", type=float, required=True)),
             ("--step", dict(type=float, required=True)), gamma,
-            ("--tol", dict(type=float, default=1e-8)), fmt="csv")
+            ("--tol", dict(type=float, default=1e-8)), formats=("csv", "json"))
     command("mean-max", cmd_mean_max, "E M, the expected maximum", gamma)
     command("simulate", cmd_simulate, "Monte Carlo oracle; writes CSV + sidecar", gamma,
             ("--horizon", dict(type=float, default=4.0)),
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--paths", dict(type=int, default=10_000)),
             ("--seed", dict(type=int, default=0)),
             ("--out", dict(default="chernoff_samples.csv")),
-            ("--format", dict(choices=("plain", "json"), default="plain")), fmt=None)
+            ("--format", dict(choices=("plain", "json"), default="plain")), formats=())
     return ap
 
 

@@ -5,6 +5,13 @@ scalars and Fractions too; an integer argument never takes a float) and
 return a Python float, complex or int.  Each refuses a bool, a non-number
 and any value a float cannot hold finitely (NaN, +-inf, 10**400) with
 ValueError.
+
+The exact layer loops over orders, so one bound N = _MAX_ORDER = 500 caps
+every order (n, m, max_n and the j + k of a by-parts split), every
+polynomial power and the powers j, k of every AiryTerm a caller builds;
+`_as_order` applies it through `_as_int`.  The README gives the cold cost
+of each exact entry point at N; the costliest, verify_conjectures(N), takes
+about 21 s.
 """
 import cmath
 import math
@@ -74,3 +81,13 @@ def _as_int(v, message: str, low: int = 0, high: float = sys.float_info.max) -> 
     if not low <= x <= high:
         raise ValueError(f"{message}, got {v!r}")
     return x
+
+
+#: the largest order, polynomial power or AiryTerm power the exact layer takes
+_MAX_ORDER = 500
+
+
+def _as_order(v, name: str) -> int:
+    """v as an int in [0, _MAX_ORDER]; else ValueError naming the bound."""
+    return _as_int(v, f"{name} must be a nonnegative integer at most {_MAX_ORDER}",
+                   high=_MAX_ORDER)

@@ -50,19 +50,17 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import algebra
-from .airy import _ai_kernel, airy_zero
+from .airy import _EPS, _ai_kernel, airy_zero
 from .algebra import RationalPoly
-from .errors import (ContourTooLeft, NoConvergence, OverflowDomain, _as_complex, _as_int,
+from .errors import (ContourTooLeft, NoConvergence, OverflowDomain, _as_complex, _as_order,
                      _as_real)
 
-_EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
 
@@ -205,14 +203,11 @@ def _first_step(a: float, tol: float) -> float:
 
     T_h errs by about M e^{-2 pi a/h} with M >= |int F|.  The check at h
     compares T_h with T_2h, so it can pass only once T_2h meets tol, that
-    is 2h <= 2 pi a / ln(1/tol).  A first level one step coarser returned
-    3 of 929 line integrals over the reference menus at rel_tol 1e-3 to
-    1e-13, and cost every fresh line a second kernel call; this one
-    returns 731.  The phase of 1/Ai(z)^2 turns by about 2 sqrt(x) per
-    unit of y, and steps that sample one phase agree on a wrong value (E
-    V^2 at sigma = 40 would read -3.1e149); 1/32 keeps the first level
-    within the node budget.  The phase cap is at most sqrt(2), so the
-    first level always has nodes in both halves of the first octave.
+    is 2h <= 2 pi a / ln(1/tol).  The phase of 1/Ai(z)^2 turns by about
+    2 sqrt(x) per unit of y, and steps that sample one phase agree on a
+    wrong value (E V^2 at sigma = 40 would read -3.1e149); 1/32 keeps the
+    first level within the node budget.  The phase cap is at most sqrt(2),
+    so the first level always has nodes in both halves of the first octave.
     """
     phase = max(1.0 / 32.0, 2.0 / math.sqrt(max(a + airy_zero(1), 0.0) + 2.0))
     return 0.5 * _dyadic_floor(min(a, _TWO_PI * a / -math.log(tol), phase))
@@ -344,7 +339,7 @@ def _real(raw: tuple, scale: float) -> QuadResult:
 def moment_quad(n: int, gamma: float = CANONICAL_GAMMA,
                 contour: Optional[ContourSpec] = None) -> QuadResult:
     """E V_gamma^n with its quadrature error estimate."""
-    n = _as_int(n, "moment order must be a nonnegative integer")
+    n = _as_order(n, "moment order")
     gamma = _as_real(gamma, "gamma must be a positive real", positive=True)
     try:
         scale = 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0)
@@ -397,8 +392,8 @@ def moment_by_parts(j: int, k: int,
     (all for n = 0, 2, 4, and (5, 1) to (1, 5)), 23 at 1e-8 and 55 at 1e-5,
     and the rest raise NoConvergence.  Every odd split raises at 1e-10: its
     value 0 meets no relative tolerance (ROADMAP item 1, abs_tol, would)."""
-    j = _as_int(j, "moment order must be a nonnegative integer")
-    k = _as_int(k, "moment order must be a nonnegative integer")
+    j, k = _as_order(j, "moment order"), _as_order(k, "moment order")
+    _as_order(j + k, "moment order j + k")
     rows = _by_parts_rows(j, k)
     if isinstance(rows, str):       # the cached refusal
         raise OverflowDomain(rows)
@@ -517,12 +512,12 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     def integrand(k, h, tab):
         inv, rel = tab[:2]
         ghat = _SQRT2 * inv
-        # fold nodes k and -k: the real part of sum_k ghat_k e^{-i k h u} is
-        # sum_{k >= 0} A_k cos(k h u) + B_k sin(k h u)
+        # node -k is the conjugate of node k (see `_node_table`), so the real
+        # part of sum_k ghat_k e^{-i k h u} is sum_{k >= 0} A_k cos(k h u) +
+        # B_k sin(k h u), A_k = 2 Re ghat_k and B_k = 2 Im ghat_k for k > 0
         m = k[-1]
-        a = ghat.real[m:] + ghat.real[m::-1]
-        a[0] = ghat.real[m]
-        b = ghat.imag[m:] - ghat.imag[m::-1]
+        a, b = 2.0 * ghat.real[m:], 2.0 * ghat.imag[m:]
+        a[0], b[0] = ghat.real[m], 0.0
         even = 2.0 * (k[m:] % 2 == 0)
         wa = np.stack([a, even * a], axis=1) * (h / _TWO_PI)
         wb = np.stack([b, even * b], axis=1) * (h / _TWO_PI)
@@ -559,34 +554,32 @@ class IdentityCheck:
 
 
 def identity_suite(contour: Optional[ContourSpec] = None) -> list[IdentityCheck]:
-    """Cross-checks tying independent numerical routes together."""
+    """Cross-checks tying independent numerical routes together.  Each
+    passes when its deviation, |lhs - rhs| unless given, is at most its tol."""
     spec = _spec(contour)
     checks: list[IdentityCheck] = []
 
-    one = RationalPoly({0: Fraction(1)})
+    def check(name, lhs, rhs, tol, deviation=None):
+        deviation = abs(lhs - rhs) if deviation is None else deviation
+        checks.append(IdentityCheck(name, deviation <= tol, lhs, rhs, tol))
+
+    one = RationalPoly({0: 1})
     q0 = contour_integral_inv_ai2(one, spec)
-    checks.append(IdentityCheck("normalization sigma=0", abs(q0.value - 1.0) <= 1e-8,
-                                q0.value, 1.0, 1e-8))
+    check("normalization sigma=0", q0.value, 1.0, 1e-8)
     for sig in (0.5, 1.0):
         q = contour_integral_inv_ai2(one, replace(spec, sigma=sig))
-        tol = 2.0 * max(q.err_estimate, q0.err_estimate)
-        checks.append(IdentityCheck(f"contour invariance sigma={sig}",
-                                    abs(q.value - 1.0) <= max(tol, 1e-12),
-                                    q.value, 1.0, max(tol, 1e-12)))
+        check(f"contour invariance sigma={sig}", q.value, 1.0,
+              max(2.0 * max(q.err_estimate, q0.err_estimate), 1e-12))
     for g in (CANONICAL_GAMMA, 1.0, 2.0):
-        lhs = moment(2, g, spec)
-        rhs = mean_max(g, spec) / (3.0 * g)
-        checks.append(IdentityCheck(f"E V^2 = E M / (3 gamma), gamma={g:.6g}",
-                                    abs(lhs - rhs) <= 1e-6, lhs, rhs, 1e-6))
+        check(f"E V^2 = E M / (3 gamma), gamma={g:.6g}",
+              moment(2, g, spec), mean_max(g, spec) / (3.0 * g), 1e-6)
     base = moment(2, CANONICAL_GAMMA, spec)
     for g in (0.25, 3.0):
-        inv = moment(2, g, spec) * 2.0 ** (2.0 / 3.0) * g ** (4.0 / 3.0)
-        checks.append(IdentityCheck(f"scaling invariance n=2, gamma={g}",
-                                    abs(inv - base) <= 1e-10, inv, base, 1e-10))
+        check(f"scaling invariance n=2, gamma={g}",
+              moment(2, g, spec) * 2.0 ** (2.0 / 3.0) * g ** (4.0 / 3.0), base, 1e-10)
     # the product integrand's contour invariance: the cf on the spec's line
     # against the mgf at i on sigma = 0.5
     cf = char_fn(1.0, spec)
     mg = mgf(complex(0.0, 1.0), replace(spec, sigma=0.5))
-    checks.append(IdentityCheck("char_fn(1) = mgf(i) on sigma=0.5",
-                                abs(cf - mg) <= 1e-8, abs(cf), abs(mg), 1e-8))
+    check("char_fn(1) = mgf(i) on sigma=0.5", abs(cf), abs(mg), 1e-8, abs(cf - mg))
     return checks

@@ -265,10 +265,12 @@ def discretization_probe(cfg: SimConfig) -> tuple[SampleSet, SampleSet]:
     the coarse one shares every path, so the difference of a statistic
     between the two isolates the discretization effect with almost all the
     Monte Carlo noise cancelling.  Requires an even number of steps per
-    side so the coarse grid contains t = 0 and both endpoints.
+    side, at least 4, so the coarse grid contains t = 0 and both endpoints
+    and is a valid SimConfig; refuses any other grid before sampling.
     """
-    if cfg.steps_per_side % 2:
-        raise ValueError("discretization_probe needs an even steps_per_side")
+    if cfg.steps_per_side % 2 or cfg.steps_per_side < 4:
+        raise ValueError("discretization_probe needs an even steps_per_side of at least 4, "
+                         f"got {cfg.steps_per_side}")
     (v, m, w_at), (v_c, m_c, w_c) = _sample(cfg, (1, 2))
     fine = SampleSet(v=v, m=m, w_at_argmax=w_at, config=cfg)
     coarse = SampleSet(v=v_c, m=m_c, w_at_argmax=w_c,

@@ -8,17 +8,21 @@ Each entry point that takes a number checks it with the rule of its kind
 - a bool, a string, None and any value a float cannot hold finitely
   (10**400, NaN, +-inf) raise ValueError, never OverflowError, TypeError or
   AttributeError;
-- an integer argument refuses a float or a Fraction even when it is whole.
+- an integer argument refuses a float or a Fraction even when it is whole;
+- an order, polynomial power or AiryTerm power of the exact layer above
+  N = 500 raises ValueError at once.
 """
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chernoff import (
+    AiryTerm,
     ContourSpec,
     RationalPoly,
     SampleSet,
@@ -27,6 +31,7 @@ from chernoff import (
     airy_ai,
     airy_zero,
     char_fn_quad,
+    contour_integral_inv_ai2,
     density,
     density_grid,
     estimate,
@@ -39,9 +44,12 @@ from chernoff import (
     moment_polynomial,
     moment_polynomial_json,
     moment_quad,
+    reduce_integral,
     save_sample_set,
     simulate,
     sinh_gf_coefficient,
+    term_sum_derivative,
+    term_sum_product,
     verify_conjectures,
 )
 from chernoff.moments import default_mgf_sigma
@@ -161,3 +169,39 @@ def test_numpy_scalar_config_round_trips_through_its_sidecar(tmp_path):
     sidecars = [json.loads(p.with_suffix(".csv.json").read_text()) for p in paths]
     assert sidecars[0] == sidecars[1] == dataclasses.asdict(plain)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# calls that would loop for minutes or exhaust memory without the bound
+# N = 500 on the exact layer's orders, polynomial powers and AiryTerm powers
+PAST_THE_BOUND = [
+    ("sinh_gf_coefficient(10**6)", lambda: sinh_gf_coefficient(10**6)),
+    ("inv_ai_derivative(10**6)", lambda: inv_ai_derivative(10**6)),
+    ("verify_conjectures(10**6)", lambda: verify_conjectures(10**6)),
+    ("moment_by_parts(10**6, 0)", lambda: moment_by_parts(10**6, 0)),
+    ("moment_by_parts(250, 251)", lambda: moment_by_parts(250, 251)),
+    ("moment_quad(10**6, gamma=1.0)", lambda: moment_quad(10**6, gamma=1.0)),
+    ("moment_polynomial(501)", lambda: moment_polynomial(501)),
+    ("reduce_integral((0, 10**18, 10**18 + 2))",
+     lambda: reduce_integral((0, 10**18, 10**18 + 2))),
+    ("TermSum AiryTerm(501, 0, 2)", lambda: TermSum([(AiryTerm(501, 0, 2), 1)])),
+    ("contour_integral_inv_ai2(RationalPoly({10**18: 1}))",
+     lambda: contour_integral_inv_ai2(RationalPoly({10**18: 1}))),
+]
+
+
+@pytest.mark.parametrize("name, call", PAST_THE_BOUND, ids=[n for n, _ in PAST_THE_BOUND])
+def test_orders_past_the_bound_are_refused_at_once(name, call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="must be a nonnegative integer at most 500, got"):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_orders_at_the_bound_are_taken():
+    assert sinh_gf_coefficient(500) > 0
+    assert RationalPoly({500: 1}).degree() == 500
+    assert reduce_integral((500, 500, 502))
+    # a derivative or a product may pass the bound; only a caller's atoms are checked
+    atom = TermSum([(AiryTerm(0, 500, 501), 1)])
+    assert term_sum_derivative(atom).coefficient((0, 501, 502)) == -501
+    assert term_sum_product(atom, atom).coefficient((0, 1000, 1002)) == 1

@@ -127,6 +127,15 @@ def test_polys_negative_max_n(capsys):
     assert "usage error" in err
 
 
+def test_polys_past_the_order_bound_is_refused_before_the_table(capsys, monkeypatch):
+    # p_0..p_500 would take about 20 s before p_501 raised
+    monkeypatch.setattr(chernoff.algebra, "moment_polynomial", None)
+    code, out, err = run(capsys, "polys", "--max-n", "501")
+    assert (code, out) == (2, "")
+    assert err == ("invalid arguments: --max-n must be a nonnegative integer at most 500, "
+                   "got 501\n")
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -290,6 +299,16 @@ def test_density_json(capsys):
     assert doc["quantity"] == "density"
     assert doc["x"] == [0.0, 0.5, 1.0]
     assert len(doc["f"]) == 3
+
+
+def test_density_formats_are_csv_and_json(capsys):
+    # plain would only repeat the CSV, so argparse refuses it
+    code, out, err = run(capsys, "density", "--from", "0", "--to", "1", "--step", "0.5",
+                         "--format", "plain")
+    assert code == 2 and out == ""
+    assert "argument --format: invalid choice" in err and "plain" in err
+    code, out, _ = run(capsys, "density", "--help")
+    assert code == 0 and "--format {csv,json}" in out
 
 
 def test_density_bad_range(capsys):

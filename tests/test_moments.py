@@ -905,6 +905,22 @@ def test_table_bits_equal_direct_kernel(monkeypatch, origin, h, half_width):
     assert _bits(*tab) == _bits(*_direct_table(origin, h, half_width)[0])
 
 
+@pytest.mark.parametrize("origin, h, half_width", [
+    (0j, 0.125, 24.0), (0j, 1.0, 600.0), (0.5 + 0j, 0.25, 24.0)])
+def test_tables_on_the_real_axis_are_mirror_symmetric(monkeypatch, origin, h, half_width):
+    # density_grid reads only the nodes k >= 0 of its line, as node -k is
+    # the conjugate of node k; off-grid tables fill the line first
+    _empty_store(monkeypatch)
+    for c, step in ((origin + 1j / 3.0, 0.3), (origin + 0.1j, 0.0625), (origin - 2.5j, 0.5)):
+        moments._node_table(c, step, 24.0)
+    inv, rel, r, rel_r = moments._node_table(origin, h, half_width)
+    m = inv.size // 2
+    for a in (inv, r):
+        assert _bits(a[m - 1::-1]) == _bits(np.conj(a[m + 1:])) and a[m].imag == 0.0
+    for a in (rel, rel_r):
+        assert _bits(a[m::-1]) == _bits(a[m:])
+
+
 # mpmath (dps 40, tanh-sinh on z = i y, y in [-40, 40]) at the double t
 ORACLE_CF_OFF_GRID = {
     1.0 / 3.0: 0.977010732087816297175677136885,

@@ -327,6 +327,20 @@ def test_probe_needs_even_grid():
         discretization_probe(cfg)
 
 
+def test_probe_refuses_a_grid_it_cannot_halve_before_sampling(monkeypatch):
+    # 2 steps per side are even, but the coarse grid would have 1
+    cfg = SimConfig(horizon=0.02, step=0.01, num_paths=200_000)
+    assert cfg.steps_per_side == 2
+
+    def sampled(*args):
+        raise AssertionError("paths were sampled")
+
+    monkeypatch.setattr(sim_module, "_sample", sampled)
+    with pytest.raises(ValueError, match="discretization_probe needs an even steps_per_side "
+                                         "of at least 4, got 2"):
+        discretization_probe(cfg)
+
+
 # ---------------------------------------------------------------- persistence
 
 
