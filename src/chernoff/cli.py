@@ -11,6 +11,7 @@ writes CSV (the default) or JSON.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -135,11 +136,19 @@ def cmd_moment(args) -> int:
                           n=args.n, gamma=args.gamma)
 
 
+def _canonical(t, gamma: float):
+    """s t, s = length_scale(gamma): V_gamma = s V, so a transform at gamma
+    is the canonical one at s t.  A finite t whose s t overflows raises."""
+    st = moments.length_scale(gamma) * t
+    if cmath.isfinite(t) and not cmath.isfinite(st):
+        raise OverflowDomain(f"length_scale(gamma) * t at gamma = {gamma!r} "
+                             "overflows double precision")
+    return st
+
+
 def cmd_cf(args) -> int:
     spec = _contour_from_env()
-    # V_gamma = s V, so the cf at gamma is the canonical cf at argument s t
-    s = moments.length_scale(args.gamma)
-    qr = moments.char_fn_quad(s * args.t, spec)
+    qr = moments.char_fn_quad(_canonical(args.t, args.gamma), spec)
     val = qr.value
     return _scalar_output(args, "char_fn", val.real, qr.err_estimate + abs(val.imag), spec,
                           f"cf({args.t:.10g}) (gamma={args.gamma:.10g}) = {val.real:.15g}",
@@ -148,10 +157,10 @@ def cmd_cf(args) -> int:
 
 def cmd_mgf(args) -> int:
     t = complex(args.t_re, args.t_im)
-    s = moments.length_scale(args.gamma)
-    sigma = moments.default_mgf_sigma(s * t) if args.sigma is None else args.sigma
+    st = _canonical(t, args.gamma)
+    sigma = moments.default_mgf_sigma(st) if args.sigma is None else args.sigma
     spec = _contour_from_env(sigma)
-    qr = moments.mgf_quad(s * t, contour=spec)
+    qr = moments.mgf_quad(st, contour=spec)
     val = qr.value
     return _scalar_output(args, "mgf", val.real, qr.err_estimate, spec,
                           f"mgf({t}) (gamma={args.gamma:.10g}) = {val.real:.15g}"

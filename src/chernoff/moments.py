@@ -19,11 +19,12 @@ its shifted factor Ai(z + i t) lies on that same line.  On a strip of
 half-width a the error of T_h falls like e^{-2 pi a/h}.  The check at h
 compares T_h with T_2h, so it can pass only once T_2h meets the
 tolerance: h starts at the coarsest power of two for which T_2h can, and
-2h stays below the phase period of F (see `_first_step`), so dyadic
-steps and quarter-integer shifts land on shared ordinates, and a fresh
-line usually reaches the kernel once.  h is then halved, reusing the
-coarser nodes, until the error meets rel_tol * max(|value|, 1e-6 * h sum
-|F|); Y starts at _START_HEIGHT and doubles until the octave
+2h stays below the phase period of F and the density's aliasing bound
+(see `_first_step`), so dyadic steps and quarter-integer shifts land on
+shared ordinates, and a fresh line usually reaches the kernel once.  h
+is then halved, reusing the coarser nodes, until the error meets a
+finite rel_tol * max(|value|, 1e-6 * h sum |F|) (an overflowed sum
+raises); Y starts at _START_HEIGHT and doubles until the octave
 Y < |y| <= 2Y bounds what lies beyond 2Y.  The node budget alone ends
 both loops.  One line sum, `_trapezoid`, gathers the tables and charges
 every error; each integrand only says what a node contributes.  The error
@@ -190,16 +191,11 @@ def _node_table(origin: complex, h: float, half_width: float):
     return inv, rel, r, rel_r
 
 
-def _dyadic_floor(w: float) -> float:
-    """The largest power of two at or below w > 0."""
-    return math.ldexp(1.0, math.frexp(w)[1] - 1)
-
-
-def _first_step(a: float, tol: float) -> float:
+def _first_step(a: float, tol: float, u_max: float = 0.0) -> float:
     """The first step on a strip of half-width a about Re z = x = a + a_1:
     half the largest power of two at or below min(a, 2 pi a / ln(1/tol),
-    max(1/32, 2/sqrt(max(x, 0) + 2))), so every cap bounds the first
-    check's coarse step 2 h0.
+    max(1/32, 2/sqrt(max(x, 0) + 2)), pi/u_max), so every cap bounds the
+    first check's coarse step 2 h0.
 
     T_h errs by about M e^{-2 pi a/h} with M >= |int F|.  The check at h
     compares T_h with T_2h, so it can pass only once T_2h meets tol, that
@@ -208,9 +204,12 @@ def _first_step(a: float, tol: float) -> float:
     wrong value (E V^2 at sigma = 40 would read -3.1e149); 1/32 keeps the
     first level within the node budget.  The phase cap is at most sqrt(2),
     so the first level always has nodes in both halves of the first octave.
+    A Fourier read-out at |u| <= u_max > 0 is 2 pi/h-periodic in u, so
+    2h <= pi/u_max puts the images of the coarse sum T_2h at |u| >= u_max.
     """
     phase = max(1.0 / 32.0, 2.0 / math.sqrt(max(a + airy_zero(1), 0.0) + 2.0))
-    return 0.5 * _dyadic_floor(min(a, _TWO_PI * a / -math.log(tol), phase))
+    alias = math.pi / u_max if u_max > 0.0 else math.inf
+    return math.ldexp(0.5, math.frexp(min(a, _TWO_PI * a / -math.log(tol), phase, alias))[1] - 1)
 
 
 def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
@@ -243,7 +242,8 @@ def _trapezoid(origins, integrand, h: float, budget: int, tol_of):
     the tail charge.  Y starts at _START_HEIGHT and doubles while the tail
     is not negligible, h halves while err exceeds tol_of(T_h, h sum |F|),
     and the nodes of all tables together stay within `budget`.  Returns
-    (T_h, err, nodes).
+    (T_h, err, nodes) only under a finite tol: where the sum overflows,
+    tol is infinite too, and "integrand not finite" is raised.
     """
     y = _START_HEIGHT
     err, seen = math.inf, (h, y)
@@ -263,7 +263,7 @@ def _trapezoid(origins, integrand, h: float, budget: int, tol_of):
             floor = pts + 20.0 * _EPS * mag
             err = disc + floor + tail
         seen = (h, y)
-        if np.all(err <= tol):
+        if tol < math.inf and np.all(err <= tol):
             return v, err, nodes
         if not np.all(np.isfinite(err)):
             raise _unmet("integrand not finite", err, h, y, budget)
@@ -478,9 +478,9 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     g(u) = (1/2 pi) int e^{-i t u} hat g(t) dt and hat g(t) = sqrt(2)/Ai(i t),
     read from the sigma = 0 line; then the length-scale change to gamma.
     h starts at the first step of the line integrals (see `_first_step`),
-    with the strip half-width -a_1 and tol, halved further until
-    pi/h >= 2 max|u|: a trapezoidal sum in t is 2 pi/h-periodic in u, so
-    the images of g that T_2h adds then sit at |u| >= max|u|.
+    with the strip half-width -a_1, tol and the aliasing bound of u_max =
+    max|u|: a trapezoidal sum in t is 2 pi/h-periodic in u, so with
+    pi/h >= 2 u_max the images of g that T_2h adds sit at |u| >= u_max.
     Raises NoConvergence when tol cannot be met within the node budget, and
     also when the Airy-bound floor exceeds the tolerance that the absolute
     tol implies for each factor g: at large gamma with a tight tol, such as
@@ -505,9 +505,7 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
         raise OverflowDomain(f"xs / length_scale(gamma) at gamma = {gamma!r} "
                              "overflows double precision")
     u_max = float(np.max(np.abs(u), initial=0.0))
-    h = _first_step(-airy_zero(1), tol)
-    while 2.0 * h * u_max > math.pi:
-        h *= 0.5
+    h = _first_step(-airy_zero(1), tol, u_max)
 
     def integrand(k, h, tab):
         inv, rel = tab[:2]

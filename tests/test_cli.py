@@ -453,6 +453,7 @@ def test_bad_flag_values(capsys):
     assert run(capsys, "moment", "--n", "2", "--gamma", "-1")[0] == 2
     assert run(capsys, "moment", "--n", "two")[0] == 2
     assert run(capsys, "cf", "--t", "nan")[0] == 2
+    assert run(capsys, "cf", "--t", "inf")[0] == 2
     # the library's own validation reports a bad gamma for every command
     for argv in (("moment", "--n", "2"), ("cf", "--t", "1"), ("mgf", "--t-re", "1"),
                  ("density", "--from", "0", "--to", "1", "--step", "0.5"), ("mean-max",)):
@@ -490,6 +491,8 @@ def test_env_reltol_unreachable(capsys, monkeypatch):
     ("mgf", "--t-re", "1e300"),                      # Ai(z + t) underflows
     ("density", "--from", "1e308", "--to", "1e308", "--step", "1",
      "--gamma", "1e6"),                              # x / length_scale(gamma)
+    ("cf", "--t", "1e308", "--gamma", "1e-300"),     # length_scale(gamma) * t
+    ("mgf", "--t-re", "1e308", "--gamma", "1e-300"),
 ])
 def test_out_of_range_is_a_numerical_failure(capsys, argv):
     code, out, err = run(capsys, *argv)

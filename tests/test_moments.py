@@ -494,14 +494,29 @@ def test_zero_shift_reads_one_line():
         assert q.panels_used == one.panels_used == 193
 
 
-@pytest.mark.parametrize("sigma", [100.0, 1e6, 1e300])
+@pytest.mark.parametrize("sigma", [65.0, 100.0, 1e6, 1e300])
 def test_far_contour_fails_typed_without_warnings(sigma):
-    # 1/Ai^2 overflows along the line at sigma = 100; further out Ai
-    # itself underflows to 0
+    # the sum of 1/Ai^2 overflows from about sigma = 65, and the nodes
+    # themselves at sigma = 100; further out Ai itself underflows to 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NoConvergence, match="integrand not finite"):
             moment_quad(2, contour=ContourSpec(sigma=sigma))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mean_max_quad(contour=ContourSpec(sigma=65.0)),
+    lambda: moment_quad(0, contour=ContourSpec(sigma=65.25)),
+    lambda: char_fn_quad(0.5, ContourSpec(sigma=65.25)),
+    lambda: mgf_quad(1.0, ContourSpec(sigma=64.75)),
+], ids=["E M at 65", "E V^0 at 65.25", "cf(0.5) at 65.25", "mgf(1) at 64.75"])
+def test_overflowed_sum_is_never_returned(call):
+    # each line's sum of |F| overflows, so its tolerance,
+    # rel_tol * max(|T_h|, 1e-6 h sum |F|), is infinite, and so is its
+    # error; a value near 1e292 with err = inf used to pass that test
+    moments._ai_product_integral.cache_clear()
+    with pytest.raises(NoConvergence, match="integrand not finite"):
+        call()
 
 
 @pytest.mark.parametrize("t", [1e300, -1e300])
@@ -547,7 +562,8 @@ def test_seeded_contour_sweep_returns_no_value_outside_its_error():
         except ChernoffError:
             continue
         returned += 1
-        if not abs(q.value - float(ref)) <= q.err_estimate:
+        err = q.err_estimate
+        if not (math.isfinite(err) and abs(q.value - float(ref)) <= err):
             lies.append((kind, spec, q))
     assert lies == []
     assert returned >= 100
@@ -601,7 +617,8 @@ def test_seeded_sweep_over_gamma_splits_and_density_tol(seed):
             except ChernoffError:
                 continue
             returned += 1
-            if not abs(q.value - float(ref)) <= q.err_estimate:
+            err = q.err_estimate
+            if not (math.isfinite(err) and abs(q.value - float(ref)) <= err):
                 lies.append((kind, gamma, spec, q))
     assert lies == []
     assert returned >= 400
@@ -629,7 +646,8 @@ def test_seeded_mgf_symmetry_sweep_off_the_imaginary_axis():
             continue
         returned += 1
         q1, q2 = pair
-        if not abs(q1.value - q2.value) <= q1.err_estimate + q2.err_estimate:
+        err = q1.err_estimate + q2.err_estimate
+        if not (math.isfinite(err) and abs(q1.value - q2.value) <= err):
             lies.append((t, rel_tol, q1, q2))
     assert lies == []
     assert returned >= 40
@@ -813,6 +831,24 @@ def _oracle(fn, args):
     return float(REFERENCES[kind][repr(float(args[0]))])
 
 
+def test_aliasing_cap_gives_the_halved_first_step():
+    # pi/u_max as a fourth cap of `_first_step` gives exactly the step that
+    # halving the line integrals' first step while 2h u_max > pi reaches,
+    # also where pi/u_max is a power of two or a float away from one
+    a = -airy.airy_zero(1)
+    us = [0.0]
+    for j in range(-30, 10):
+        u = math.pi / 2.0 ** (j + 1)
+        us += [math.nextafter(u, 0.0), u, math.nextafter(u, math.inf)]
+    for tol in np.geomspace(1e-12, 1e-2, 41):
+        start = moments._first_step(a, float(tol))
+        for u in us:
+            h = start
+            while 2.0 * h * u > math.pi:
+                h *= 0.5
+            assert moments._first_step(a, float(tol), u) == h, (tol, u)
+
+
 def test_first_step_skips_only_levels_that_cannot_pass(monkeypatch):
     # against a start at the strip half-width, which walks every level the
     # rule walks and coarser ones, a result may differ only where that start
@@ -845,8 +881,15 @@ def test_first_step_skips_only_levels_that_cannot_pass(monkeypatch):
             out.append((r, steps[0], steps[-1]))
         return out
 
+    def coarse_start(a, tol, u_max=0.0):
+        """The largest power of two at or below a, halved while 2h u_max > pi."""
+        h = math.ldexp(1.0, math.frexp(a)[1] - 1)
+        while 2.0 * h * u_max > math.pi:
+            h *= 0.5
+        return h
+
     got = run()
-    monkeypatch.setattr(moments, "_first_step", lambda a, tol: moments._dyadic_floor(a))
+    monkeypatch.setattr(moments, "_first_step", coarse_start)
     coarse = run()
     moments._ai_product_integral.cache_clear()
     changed = []
