@@ -8,12 +8,13 @@ sector |arg z| <= 2*pi/3 for |z| > 4.5, and the rotation identity
 
     Ai(z) = -e^{-2*pi*i/3} Ai(z e^{-2*pi*i/3}) - e^{+2*pi*i/3} Ai(z e^{+2*pi*i/3})
 
-beyond that sector.  In the overlap band 4.5 < |z| <= 9 both candidates
-are computed and the one with the smaller tracked bound wins.  Every bound
-adds series tails, first omitted asymptotic terms, and rounding charged on
-the tracked magnitude sums -- nothing is assumed accurate by fiat.  Where
-Ai overflows the kernel returns ai = inf with aip = bnd = 0, and where it
-underflows (|arg z| < pi/3, far out) ai = aip = bnd = 0.
+beyond that sector.  Every regime is a candidate under one rule (see
+`_block`), so in the overlap band 4.5 < |z| <= 9 the smaller bound wins.
+Every bound adds series tails, first omitted asymptotic terms, and
+rounding charged on the tracked magnitude sums -- nothing is assumed
+accurate by fiat.  Where Ai overflows the kernel returns ai = inf with
+aip = bnd = 0, and where it underflows (|arg z| < pi/3, far out)
+ai = aip = bnd = 0.
 
 The kernel takes blocks of up to 256 points.  In a block, the series
 points and the asymptotic ones (the rotation identity's two rotated
@@ -252,16 +253,18 @@ def _asymptotic_values(zeta, q, s, a, trunc):
 
 def _rotated(ai, aip, e_ai, e_aip, k: int):
     """The rotation identity from rows k.. (z e^{-2 pi i/3}) and the same
-    number of rows after them (z e^{+2 pi i/3}): Ai, Ai' and the bound."""
+    number of rows after them (z e^{+2 pi i/3}): Ai, Ai' and their bounds."""
     m, p = slice(k, (ai.size + k) // 2), slice((ai.size + k) // 2, None)
     e = 1.5 * (e_ai[m] + e_ai[p]) + 4.0 * _EPS * (np.abs(ai[m]) + np.abs(ai[p]))
     e_p = 1.5 * (e_aip[m] + e_aip[p]) + 4.0 * _EPS * (np.abs(aip[m]) + np.abs(aip[p]))
-    return (-(_ROT_M * ai[m] + _ROT_P * ai[p]), -(_ROT_P * aip[m] + _ROT_M * aip[p]),
-            np.maximum(e, e_p))
+    return -(_ROT_M * ai[m] + _ROT_P * ai[p]), -(_ROT_P * aip[m] + _ROT_M * aip[p]), e, e_p
 
 
-def _block(z: np.ndarray):
-    """Ai, Ai' and the bound at up to a block of points.
+def _block(z: np.ndarray, ai: np.ndarray, aip: np.ndarray, bnd: np.ndarray) -> None:
+    """Ai, Ai' and the bound at up to a block of points, into ai, aip and
+    bnd, which hold 0, 0 and inf.  A point takes a candidate, series, sector
+    or rotation, that did not overflow and whose bound, the larger of Ai's
+    and Ai''s, is below the one it holds.
 
     The series points, the sector points and both rotations of the points
     beyond the sector share one call of `_sums`.
@@ -303,9 +306,12 @@ def _block(z: np.ndarray):
     mag[:, :, ns:] = np.abs(_UV[:n])
     s, a, xn, trunc = _sums(x, arrays, last, ns)
 
-    ai = np.zeros(z.size, complex)
-    aip = np.zeros(z.size, complex)
-    bnd = np.full(z.size, np.inf)
+    def adopt(idx, c_ai, c_aip, e_ai, e_aip):
+        c_bnd = np.maximum(e_ai, e_aip)
+        win = c_bnd < bnd[idx]
+        idx = idx[win]
+        ai[idx], aip[idx], bnd[idx] = c_ai[win], c_aip[win], c_bnd[win]
+
     if ns:
         # series: tail 2 max |last term| of f, g, f', g' (ratio below 1/2),
         # rounding 4 eps on each magnitude sum
@@ -314,22 +320,14 @@ def _block(z: np.ndarray):
         lt[2] *= rs2
         tail = (_AI0 + abs(_AIP0)) * 2.0 * lt.max(axis=0)
         e = tail + 4.0 * _EPS * a[:, :ns] + 2.0 * _EPS * np.abs(s[:, :ns])
-        ai[near], aip[near] = s[:, :ns]
-        bnd[near] = np.maximum(e[0], e[1])
+        adopt(near, *s[:, :ns], *e)
     if na:
-        # the asymptotic candidate wins where its bound is smaller
         ca, cap, e_a, e_ap = _asymptotic_values(zeta, q, s[:, ns:], a[:, ns:], trunc[ns:])
-        cb, lost, idx = np.maximum(e_a, e_ap), over, sec
+        e_a[over] = np.inf              # an overflowed candidate is never taken
+        k = sec.size
+        adopt(sec, ca[:k], cap[:k], e_a[:k], e_ap[:k])
         if rot.size:
-            k = sec.size
-            ra, rap, rb = _rotated(ca, cap, e_a, e_ap, k)
-            ca, cap = np.concatenate([ca[:k], ra]), np.concatenate([cap[:k], rap])
-            cb = np.concatenate([cb[:k], rb])
-            lost = np.concatenate([over[:k], over[k:k + rot.size] | over[k + rot.size:]])
-            idx = np.concatenate([sec, rot])
-        win = ~lost & (cb < bnd[idx])
-        idx = idx[win]
-        ai[idx], aip[idx], bnd[idx] = ca[win], cap[win], cb[win]
+            adopt(rot, *_rotated(ca, cap, e_a, e_ap, k))
 
     real = np.flatnonzero(z.imag == 0.0)
     if real.size:
@@ -344,7 +342,6 @@ def _block(z: np.ndarray):
         # where |z|^(3/2) overflows (|z| beyond about 1e205), and there Ai
         # underflows
         ai[bad & (np.abs(np.angle(z)) < math.pi / 3.0)] = 0.0
-    return ai, aip, bnd
 
 
 def _ai_kernel(z: np.ndarray):
@@ -361,13 +358,13 @@ def _ai_kernel(z: np.ndarray):
     z = np.ascontiguousarray(z, dtype=complex).ravel()
     low = np.signbit(z.imag)
     z = np.where(low, z.conj(), z)
-    ai = np.empty(z.size, complex)
-    aip = np.empty(z.size, complex)
-    bnd = np.empty(z.size)
+    ai = np.zeros(z.size, complex)
+    aip = np.zeros(z.size, complex)
+    bnd = np.full(z.size, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, z.size, _BLOCK):
-            hi = lo + _BLOCK
-            ai[lo:hi], aip[lo:hi], bnd[lo:hi] = _block(z[lo:hi])
+            at = slice(lo, lo + _BLOCK)
+            _block(z[at], ai[at], aip[at], bnd[at])
     np.conjugate(ai, out=ai, where=low)
     np.conjugate(aip, out=aip, where=low)
     return ai, aip, bnd

@@ -137,13 +137,13 @@ def cmd_moment(args) -> int:
 
 
 def _canonical(t, gamma: float):
-    """s t, s = length_scale(gamma): V_gamma = s V, so a transform at gamma
-    is the canonical one at s t.  A finite t whose s t overflows raises."""
+    """s t, s = length_scale(gamma), as V_gamma = s V; a non-finite t as
+    typed, for the library to name.  A finite t whose s t overflows raises."""
     st = moments.length_scale(gamma) * t
     if cmath.isfinite(t) and not cmath.isfinite(st):
         raise OverflowDomain(f"length_scale(gamma) * t at gamma = {gamma!r} "
                              "overflows double precision")
-    return st
+    return st if cmath.isfinite(t) else t
 
 
 def cmd_cf(args) -> int:

@@ -18,8 +18,8 @@ through sigma + t.  The cf is the mgf at i t on the caller's contour, so
 its shifted factor Ai(z + i t) lies on that same line.  On a strip of
 half-width a the error of T_h falls like e^{-2 pi a/h}.  The check at h
 compares T_h with T_2h, so it can pass only once T_2h meets the
-tolerance: h starts at the coarsest power of two for which T_2h can, and
-2h stays below the phase period of F and the density's aliasing bound
+tolerance: the line sum starts h at the coarsest power of two for which
+T_2h can, with 2h below F's phase period and the density's aliasing bound
 (see `_first_step`), so dyadic steps and quarter-integer shifts land on
 shared ordinates, and a fresh line usually reaches the kernel once.  h
 is then halved, reusing the coarser nodes, until the error meets a
@@ -31,7 +31,7 @@ every error; each integrand only says what a node contributes.  The error
 adds |T_h - T_2h| (T_2h from the even nodes of the same table), h times
 the pointwise Airy bounds, 20 eps * h sum |F| for rounding, and that
 tail.  A line integral rests on at most _LINE_NODES Airy-evaluated nodes,
-a density table on _DENSITY_NODES; `panels_used` counts them.
+a density table on the store's cap _TABLE_NODES; `panels_used` counts them.
 
 All but the density are one integral,
 
@@ -134,6 +134,8 @@ class _Line(NamedTuple):
 #: cap on the nodes held by all cached lines together (56 bytes each)
 _TABLE_NODES = 1 << 14
 _LINES: dict[float, _Line] = {}
+#: what a line with no nodes yet reads; never mutated (inserts build new arrays)
+_EMPTY = _Line(*(np.empty(0, dt) for dt in (float, complex, float, complex, float)))
 _LINES_LOCK = threading.Lock()
 
 
@@ -158,9 +160,7 @@ def _node_table(origin: complex, h: float, half_width: float):
     y = origin.imag + h * np.arange(-m, m + 1)
     ay = np.abs(y)
     with _LINES_LOCK:
-        line = _LINES.get(x)
-        if line is None:
-            line = _Line(*(np.empty(0, dt) for dt in (float, complex, float, complex, float)))
+        line = _LINES.get(x, _EMPTY)
         pos = np.searchsorted(line.y, ay)
         hit = line.y.take(pos, mode="clip") == ay if line.y.size else np.zeros(ay.size, bool)
         new = ay[~hit]
@@ -227,49 +227,55 @@ def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
 
 
 def _unmet(reason: str, err, h: float, y: float, budget: int) -> NoConvergence:
-    return NoConvergence(
-        f"{reason}: err ~ {float(np.max(err, initial=0.0)):.3e} at h = {h:.4g}, "
-        f"Y = {y:g} (budget {budget} Airy nodes)")
+    """err is a level's error, or says why none was measured."""
+    got = err if isinstance(err, str) else f"err ~ {float(np.max(err, initial=0.0)):.3e}"
+    return NoConvergence(f"{reason}: {got} at h = {h:.4g}, Y = {y:g} (budget {budget} Airy nodes)")
 
 
-def _trapezoid(origins, integrand, h: float, budget: int, tol_of):
+def _trapezoid(origins, integrand, tol: float, budget: int, tol_of, u_max: float = 0.0):
     """The line sum every quadrature here shares.
 
     At each level it gathers the table of every origin on |y| <= 2Y (see
     `_node_table`), and integrand(k, h, *tables) returns, elementwise, T_h
     and T_2h over the even nodes, and per node |F| and its pointwise bound.
     err adds |T_h - T_2h|, h sum bound, 20 eps h sum |F| for rounding and
-    the tail charge.  Y starts at _START_HEIGHT and doubles while the tail
-    is not negligible, h halves while err exceeds tol_of(T_h, h sum |F|),
-    and the nodes of all tables together stay within `budget`.  Returns
-    (T_h, err, nodes) only under a finite tol: where the sum overflows,
-    tol is infinite too, and "integrand not finite" is raised.
+    the tail charge.  h starts at `_first_step` of tol and u_max on the
+    strip about the leftmost origin, Y at _START_HEIGHT; Y doubles while
+    the tail is not negligible, h halves while err exceeds the goal
+    tol_of(T_h, h sum |F|), and the nodes of all tables together stay
+    within `budget`.  Returns (T_h, err, nodes) only under a finite goal:
+    where the sum overflows, so does the goal, and "integrand not finite"
+    is raised.
     """
+    h = _first_step(min(o.real for o in origins) - airy_zero(1), tol, u_max)
     y = _START_HEIGHT
-    err, seen = math.inf, (h, y)
+    seen = None
     while True:
         reach = 2.0 * y / h
         nodes = len(origins) * (2 * math.floor(reach) + 1) if reach <= budget else math.inf
         if nodes > budget:
-            raise _unmet("node budget exhausted", err, *seen, budget)
+            if seen is None:    # no level ran, so no error was measured
+                seen = (f"no level ran, the first table needs "
+                        f"{len(origins) * (2.0 * reach + 1.0):.6g} Airy nodes", h, y)
+            raise _unmet("node budget exhausted", *seen, budget)
         k = np.arange(-math.floor(reach), math.floor(reach) + 1)
         tables = [_node_table(o, h, 2.0 * y) for o in origins]
         # a non-finite integrand raises below, without numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
             v, v2, w, e = integrand(k, h, *tables)
             pts, mag, tail = h * e.sum(), h * w.sum(), _tail(w + e, k, h, y)
-            tol = tol_of(v, mag)
+            goal = tol_of(v, mag)
             disc = np.abs(v - v2)
             floor = pts + 20.0 * _EPS * mag
             err = disc + floor + tail
-        seen = (h, y)
-        if tol < math.inf and np.all(err <= tol):
+        seen = (err, h, y)
+        if goal < math.inf and np.all(err <= goal):
             return v, err, nodes
         if not np.all(np.isfinite(err)):
             raise _unmet("integrand not finite", err, h, y, budget)
-        if np.any(tail > 0.1 * tol):
+        if np.any(tail > 0.1 * goal):
             y *= 2.0
-        elif np.any((floor > tol) & (disc <= floor)):
+        elif np.any((floor > goal) & (disc <= floor)):
             raise _unmet("Airy bounds and rounding exceed the tolerance", err, h, y, budget)
         else:
             h *= 0.5
@@ -322,8 +328,7 @@ def _ai_product_integral(rows: tuple, t: complex, spec: ContourSpec):
             f, e = (val, err) if f is None else (f + val, e + err)
         return h * f.sum(), 2.0 * h * f[k % 2 == 0].sum(), np.abs(f), e
 
-    h0 = _first_step(min(o.real for o in origins) - airy_zero(1), spec.rel_tol)
-    val, err, nodes = _trapezoid(origins, integrand, h0, _LINE_NODES,
+    val, err, nodes = _trapezoid(origins, integrand, spec.rel_tol, _LINE_NODES,
                                  lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
     return complex(val), float(err), nodes
 
@@ -458,8 +463,6 @@ def length_scale(gamma: float) -> float:
     return 2.0 ** (-1.0 / 3.0) * gamma ** (-2.0 / 3.0)
 
 
-#: node budget of a density table: its step shrinks as max|x| grows
-_DENSITY_NODES = 1 << 14
 #: x values per block of phase products, so memory does not grow with len(xs)
 _X_BLOCK = 128
 
@@ -504,8 +507,6 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
     if not np.all(np.isfinite(u)):
         raise OverflowDomain(f"xs / length_scale(gamma) at gamma = {gamma!r} "
                              "overflows double precision")
-    u_max = float(np.max(np.abs(u), initial=0.0))
-    h = _first_step(-airy_zero(1), tol, u_max)
 
     def integrand(k, h, tab):
         inv, rel = tab[:2]
@@ -532,8 +533,9 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
 
     # with |g| <= G = h sum |hat g| / 2 pi and both errors below
     # min(1, 2 s tol / (2G + 1)), the error of g(u) g(-u) / (2 s) is below tol
-    g, _, _ = _trapezoid((0j,), integrand, h, _DENSITY_NODES,
-                         lambda v, mag: min(1.0, 2.0 * s * tol / (2.0 * mag + 1.0)))
+    g, _, _ = _trapezoid((0j,), integrand, tol, _TABLE_NODES,
+                         lambda v, mag: min(1.0, 2.0 * s * tol / (2.0 * mag + 1.0)),
+                         u_max=float(np.max(np.abs(u), initial=0.0)))
     return 0.5 * g[:u.size] * g[u.size:] / s
 
 

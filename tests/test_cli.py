@@ -463,6 +463,20 @@ def test_bad_flag_values(capsys):
             assert out == "" and "invalid arguments: gamma must be a positive real" in err
 
 
+@pytest.mark.parametrize("argv, typed", [
+    (("mgf", "--t-re", "inf"), "(inf+0j)"),
+    (("mgf", "--t-re", "1", "--t-im", "nan"), "(1+nanj)"),
+    (("cf", "--t=-inf", "--gamma", "2"), "-inf"),
+    (("cf", "--t", "nan"), "nan")])
+def test_non_finite_t_is_named_as_typed(capsys, argv, typed):
+    # t reaches the library unscaled, so the message names what was typed,
+    # not a product with length_scale(gamma) such as (inf+nanj)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid arguments: t must be a finite ")
+    assert err.endswith(f", got {typed}\n"), err
+
+
 def test_env_reltol_roundtrip(capsys, monkeypatch):
     monkeypatch.setenv("CHERNOFF_RELTOL", "1e-6")
     code, out, _ = run(capsys, "moment", "--n", "2", "--format", "json")
