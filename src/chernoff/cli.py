@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: polys, verify, moment, cf, mgf, density, mean-max, simulate.
-Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 numerical failure.  The
-CHERNOFF_RELTOL environment variable overrides the default quadrature
-relative tolerance.  moment, cf, mgf and mean-max share one writer,
-`_scalar_output`: JSON, CSV, or plain text ending in `err<=`.  density
-writes CSV (the default) or JSON.
+Commands only compute: each returns its text (verify also its verdict), and
+`main` alone writes it, to --out or stdout (simulate's --out names its
+sample file).  Diagnostics go to stderr.  Exit codes: 0 success, 1
+verification failure, 2 usage error, 3 numerical failure.  CHERNOFF_RELTOL
+overrides the default quadrature relative tolerance.  moment, cf, mgf and
+mean-max share `_scalar_text`: JSON, CSV, or plain text ending in `err<=`.
+density gives CSV (the default) or JSON.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -58,52 +58,35 @@ def _check_out(*paths: str) -> None:
             raise _UsageError(f"cannot write --out {path!r}")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            print(text, file=fh)
-    else:
-        print(text)
-
-
-def _scalar_output(args, quantity: str, value: float, err: float,
-                   spec: moments.ContourSpec, plain: str, **extra) -> int:
-    """Write one quadrature result in args.format: JSON, CSV, or `plain`
+def _scalar_text(args, quantity: str, value: float, err: float,
+                 spec: moments.ContourSpec, plain: str, **extra) -> str:
+    """One quadrature result in args.format: JSON, CSV, or `plain`
     followed by the error estimate."""
     if args.format == "json":
-        doc = {"quantity": quantity, **extra, "value": value,
-               "err_estimate": err, "contour": dataclasses.asdict(spec)}
-        _emit(json.dumps(doc), args.out)
-    elif args.format == "csv":
+        return json.dumps({"quantity": quantity, **extra, "value": value,
+                           "err_estimate": err, "contour": dataclasses.asdict(spec)})
+    if args.format == "csv":
         head = ",".join(["quantity", *extra, "value", "err_estimate"])
         row = ",".join([quantity, *map(str, extra.values()), f"{value:.17g}", f"{err:.3g}"])
-        _emit(head + "\n" + row, args.out)
-    else:
-        _emit(f"{plain}  err<={err:.3g}", args.out)
-    return EXIT_OK
+        return head + "\n" + row
+    return f"{plain}  err<={err:.3g}"
 
 
-def cmd_polys(args) -> int:
+def cmd_polys(args) -> str:
     if args.max_n < 0:
         raise _UsageError("--max-n must be >= 0")
     _as_order(args.max_n, "--max-n")    # before p_0..p_N are built, not after
+    orders = range(args.max_n + 1)
     if args.format == "json":
-        docs = [algebra.moment_polynomial_json(n) for n in range(args.max_n + 1)]
-        _emit(json.dumps(docs), args.out)
-    elif args.format == "csv":
-        lines = ["n,power,coefficient"]
-        for n in range(args.max_n + 1):
-            for p, c in algebra.moment_polynomial(n).items():
-                lines.append(f"{n},{p},{c.numerator}/{c.denominator}")
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [f"p_{n}(z) = {algebra.moment_polynomial(n)}"
-                 for n in range(args.max_n + 1)]
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+        return json.dumps([algebra.moment_polynomial_json(n) for n in orders])
+    if args.format == "csv":
+        return "\n".join(["n,power,coefficient"] + [
+            f"{n},{p},{c.numerator}/{c.denominator}"
+            for n in orders for p, c in algebra.moment_polynomial(n).items()])
+    return "\n".join(f"p_{n}(z) = {algebra.moment_polynomial(n)}" for n in orders)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     if args.max_n < 2:
         raise _UsageError("--max-n must be >= 2")
     spec = _contour_from_env()
@@ -113,27 +96,23 @@ def cmd_verify(args) -> int:
         lines.append(f"  ok: odd vanish, degree = n/2, sinh leading "
                      f"coefficient, mod-3 support ({len(report.rows)} rows)")
     else:
-        for row in report.rows:
-            if row.ok:
-                continue
-            lines.append(f"  FAIL n={row.n}: degree {row.degree} "
-                         f"(ok={row.degree_ok}), leading {row.leading} "
-                         f"(ok={row.leading_ok}), mod3 ok={row.mod3_ok}")
+        lines.extend(f"  FAIL n={row.n}: degree {row.degree} (ok={row.degree_ok}), leading "
+                     f"{row.leading} (ok={row.leading_ok}), mod3 ok={row.mod3_ok}"
+                     for row in report.rows if not row.ok)
     checks = moments.identity_suite(spec)
     lines.append("numeric identities:")
     lines.extend("  " + c.describe() for c in checks)
     ok = report.all_ok and all(c.passed for c in checks)
     lines.append("all checks passed" if ok else "VERIFICATION FAILED")
-    print("\n".join(lines))
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return "\n".join(lines), EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def cmd_moment(args) -> int:
+def cmd_moment(args) -> str:
     spec = _contour_from_env()
     qr = moments.moment_quad(args.n, args.gamma, spec)
-    return _scalar_output(args, "moment", qr.value, qr.err_estimate, spec,
-                          f"E V^{args.n} (gamma={args.gamma:.10g}) = {qr.value:.15g}",
-                          n=args.n, gamma=args.gamma)
+    return _scalar_text(args, "moment", qr.value, qr.err_estimate, spec,
+                        f"E V^{args.n} (gamma={args.gamma:.10g}) = {qr.value:.15g}",
+                        n=args.n, gamma=args.gamma)
 
 
 def _canonical(t, gamma: float):
@@ -146,29 +125,29 @@ def _canonical(t, gamma: float):
     return st if cmath.isfinite(t) else t
 
 
-def cmd_cf(args) -> int:
+def cmd_cf(args) -> str:
     spec = _contour_from_env()
     qr = moments.char_fn_quad(_canonical(args.t, args.gamma), spec)
     val = qr.value
-    return _scalar_output(args, "char_fn", val.real, qr.err_estimate + abs(val.imag), spec,
-                          f"cf({args.t:.10g}) (gamma={args.gamma:.10g}) = {val.real:.15g}",
-                          t=args.t, gamma=args.gamma)
+    return _scalar_text(args, "char_fn", val.real, qr.err_estimate + abs(val.imag), spec,
+                        f"cf({args.t:.10g}) (gamma={args.gamma:.10g}) = {val.real:.15g}",
+                        t=args.t, gamma=args.gamma)
 
 
-def cmd_mgf(args) -> int:
+def cmd_mgf(args) -> str:
     t = complex(args.t_re, args.t_im)
     st = _canonical(t, args.gamma)
     sigma = moments.default_mgf_sigma(st) if args.sigma is None else args.sigma
     spec = _contour_from_env(sigma)
     qr = moments.mgf_quad(st, contour=spec)
     val = qr.value
-    return _scalar_output(args, "mgf", val.real, qr.err_estimate, spec,
-                          f"mgf({t}) (gamma={args.gamma:.10g}) = {val.real:.15g}"
-                          f"{val.imag:+.3g}i",
-                          t_re=args.t_re, t_im=args.t_im, gamma=args.gamma, value_im=val.imag)
+    return _scalar_text(args, "mgf", val.real, qr.err_estimate, spec,
+                        f"mgf({t}) (gamma={args.gamma:.10g}) = {val.real:.15g}"
+                        f"{val.imag:+.3g}i",
+                        t_re=args.t_re, t_im=args.t_im, gamma=args.gamma, value_im=val.imag)
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> str:
     if not all(map(math.isfinite, (args.x_from, args.x_to, args.step))):
         raise _UsageError("--from, --to and --step must be finite")
     if args.step <= 0 or args.x_to < args.x_from:
@@ -181,25 +160,20 @@ def cmd_density(args) -> int:
         raise _UsageError(f"a grid of {steps + 1:.4g} rows cannot be allocated")
     fs = moments.density_grid(xs, args.gamma, args.tol)
     if args.format == "json":
-        doc = {"quantity": "density", "gamma": args.gamma, "tol": args.tol,
-               "x": [float(x) for x in xs], "f": [float(f) for f in fs]}
-        _emit(json.dumps(doc), args.out)
-    else:
-        lines = ["x,f"]
-        lines.extend(f"{x:.17g},{f:.17g}" for x, f in zip(xs, fs))
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+        return json.dumps({"quantity": "density", "gamma": args.gamma, "tol": args.tol,
+                           "x": [float(x) for x in xs], "f": [float(f) for f in fs]})
+    return "\n".join(["x,f"] + [f"{x:.17g},{f:.17g}" for x, f in zip(xs, fs)])
 
 
-def cmd_mean_max(args) -> int:
+def cmd_mean_max(args) -> str:
     spec = _contour_from_env()
     qr = moments.mean_max_quad(args.gamma, spec)
-    return _scalar_output(args, "mean_max", qr.value, qr.err_estimate, spec,
-                          f"E M (gamma={args.gamma:.10g}) = {qr.value:.15g}",
-                          gamma=args.gamma)
+    return _scalar_text(args, "mean_max", qr.value, qr.err_estimate, spec,
+                        f"E M (gamma={args.gamma:.10g}) = {qr.value:.15g}",
+                        gamma=args.gamma)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     try:
         cfg = SimConfig(gamma=args.gamma, horizon=args.horizon,
                            step=args.step, num_paths=args.paths, seed=args.seed)
@@ -207,37 +181,33 @@ def cmd_simulate(args) -> int:
         raise _UsageError(str(exc))
     if cfg.num_paths < 2:
         raise _UsageError("--paths must be >= 2 for a standard error")
-    _check_out(args.out, args.out + ".json")
+    _check_out(args.samples, args.samples + ".json")
     print(f"simulating {cfg.num_paths} paths "
           f"(N = {cfg.steps_per_side} steps/side) ...", file=sys.stderr)
-    samples = run_paths(cfg)
-    save_sample_set(samples, args.out)
-    print(f"wrote {args.out} and {args.out}.json", file=sys.stderr)
+    try:
+        samples = run_paths(cfg)
+    except MemoryError:
+        raise _UsageError(f"a sample set of {cfg.num_paths} paths cannot be allocated")
+    save_sample_set(samples, args.samples)
+    print(f"wrote {args.samples} and {args.samples}.json", file=sys.stderr)
 
     spec = _contour_from_env()
-    rows = [
-        ("v_mean", estimate(samples, "v_moment", order=1), 0.0),
-        ("v2_mean", estimate(samples, "v_moment", order=2),
-         moments.moment(2, cfg.gamma, spec)),
-        ("v4_mean", estimate(samples, "v_moment", order=4),
-         moments.moment(4, cfg.gamma, spec)),
-        ("m_mean", estimate(samples, "m_mean"),
-         moments.mean_max(cfg.gamma, spec)),
-        ("w_at_argmax_mean", estimate(samples, "w_at_argmax_mean"),
-         4.0 / 3.0 * moments.mean_max(cfg.gamma, spec)),
-    ]
+    e_v2, e_v4 = (moments.moment(n, cfg.gamma, spec) for n in (2, 4))
+    e_m = moments.mean_max(cfg.gamma, spec)
+    rows = [("v_mean", estimate(samples, "v_moment", order=1), 0.0),
+            ("v2_mean", estimate(samples, "v_moment", order=2), e_v2),
+            ("v4_mean", estimate(samples, "v_moment", order=4), e_v4),
+            ("m_mean", estimate(samples, "m_mean"), e_m),
+            ("w_at_argmax_mean", estimate(samples, "w_at_argmax_mean"), 4.0 / 3.0 * e_m)]
     if args.format == "json":
-        doc = {"quantity": "simulate", "config": dataclasses.asdict(cfg),
-               "out": args.out,
-               "estimates": {name: {"value": est.value, "stderr": est.stderr,
-                                    "analytic": ana}
-                             for name, est, ana in rows}}
-        print(json.dumps(doc))
-    else:
-        print(f"{'statistic':<18} {'estimate':>14} {'stderr':>12} {'analytic':>14}")
-        for name, est, ana in rows:
-            print(f"{name:<18} {est.value:>14.6f} {est.stderr:>12.2g} {ana:>14.6f}")
-    return EXIT_OK
+        return json.dumps({"quantity": "simulate", "config": dataclasses.asdict(cfg),
+                           "out": args.samples,
+                           "estimates": {name: {"value": est.value, "stderr": est.stderr,
+                                                "analytic": ana}
+                                         for name, est, ana in rows}})
+    return "\n".join([f"{'statistic':<18} {'estimate':>14} {'stderr':>12} {'analytic':>14}"] + [
+        f"{name:<18} {est.value:>14.6f} {est.stderr:>12.2g} {ana:>14.6f}"
+        for name, est, ana in rows])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--step", dict(type=float, default=1e-3)),
             ("--paths", dict(type=int, default=10_000)),
             ("--seed", dict(type=int, default=0)),
-            ("--out", dict(default="chernoff_samples.csv")),
+            ("--out", dict(dest="samples", metavar="OUT", default="chernoff_samples.csv")),
             ("--format", dict(choices=("plain", "json"), default="plain")), formats=())
     return ap
 
@@ -296,10 +266,18 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    out = getattr(args, "out", None)
     try:
-        if getattr(args, "out", None):
-            _check_out(args.out)
-        return args.func(args)
+        if out:
+            _check_out(out)
+        result = args.func(args)
+        text, code = (result, EXIT_OK) if isinstance(result, str) else result
+        if out:
+            with open(out, "w") as fh:
+                print(text, file=fh)
+        else:
+            print(text)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -255,8 +255,9 @@ def _trapezoid(origins, integrand, tol: float, budget: int, tol_of, u_max: float
         nodes = len(origins) * (2 * math.floor(reach) + 1) if reach <= budget else math.inf
         if nodes > budget:
             if seen is None:    # no level ran, so no error was measured
-                seen = (f"no level ran, the first table needs "
-                        f"{len(origins) * (2.0 * reach + 1.0):.6g} Airy nodes", h, y)
+                need = len(origins) * (2.0 * reach + 1.0)    # inf past the double range
+                count = f"{need:.6g}" if need < math.inf else "more than 1.8e+308"
+                seen = (f"no level ran, the first table needs {count} Airy nodes", h, y)
             raise _unmet("node budget exhausted", *seen, budget)
         k = np.arange(-math.floor(reach), math.floor(reach) + 1)
         tables = [_node_table(o, h, 2.0 * y) for o in origins]

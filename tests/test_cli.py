@@ -393,6 +393,49 @@ def test_simulate_refuses_before_simulating(capsys, tmp_path, paths, target):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_unallocatable_sample_set_is_usage_error(capsys, tmp_path, monkeypatch):
+    # numpy refuses 10^12 paths (7.3 TiB) with a MemoryError of its own,
+    # before any block runs; no test asks for the real allocation
+    def refuse(cfg):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(chernoff.cli, "run_paths", refuse)
+    code, out, err = run(capsys, "simulate", "--paths", "1000000000000",
+                         "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("usage error: a sample set of 1000000000000 paths "
+                                    "cannot be allocated")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_table_goes_to_stdout_with_or_without_out(capsys, tmp_path, monkeypatch):
+    # simulate's --out names the sample file, never the table
+    monkeypatch.chdir(tmp_path)
+    argv = ("simulate", "--paths", "64", "--step", "0.02", "--horizon", "2")
+    for fmt, says in (("plain", "v2_mean"), ("json", '"estimates"')):
+        _, default, _ = run(capsys, *argv, "--format", fmt)
+        code, named, _ = run(capsys, *argv, "--format", fmt, "--out", "chernoff_samples.csv")
+        assert code == 0 and named == default and says in named
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "chernoff_samples.csv", "chernoff_samples.csv.json"]
+
+
+@pytest.mark.parametrize("argv, fmt", [(argv, fmt) for argv, formats in [
+    (("polys", "--max-n", "6"), ("plain", "json", "csv")),
+    (("moment", "--n", "2"), ("plain", "json", "csv")),
+    (("cf", "--t", "1", "--gamma", "2"), ("plain", "json", "csv")),
+    (("mgf", "--t-re", "-3", "--t-im", "0.5"), ("plain", "json", "csv")),
+    (("mean-max",), ("plain", "json", "csv")),
+    (("density", "--from", "0", "--to", "1", "--step", "0.25"), ("csv", "json")),
+] for fmt in formats])
+def test_out_file_is_what_stdout_would_print(capsys, tmp_path, argv, fmt):
+    _, printed, _ = run(capsys, *argv, "--format", fmt)
+    target = tmp_path / "result"
+    code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == printed.encode()
+
+
 @pytest.mark.parametrize("argv", [
     ("moment", "--n", "2"),
     ("density", "--from", "0", "--to", "1", "--step", "0.5"),

@@ -1115,7 +1115,10 @@ def test_density_grid_out_of_budget_raises():
 
 @pytest.mark.parametrize("request_, needs", [
     (lambda: density_grid(np.array([-6.0, 6.0]), gamma=1e4), 196609),
-    (lambda: moment_quad(2, contour=ContourSpec(sigma=airy.airy_zero(1) + 1e-3)), 393217)])
+    (lambda: moment_quad(2, contour=ContourSpec(sigma=airy.airy_zero(1) + 1e-3)), 393217),
+    # the aliasing cap pi / u_max puts h near the smallest double, so the
+    # count 2 (2Y / h) + 1 itself overflows a float
+    (lambda: density_grid(np.array([1e307])), "more than 1.8e+308")])
 def test_budget_past_the_first_table_names_its_nodes(request_, needs):
     # no level ran, so no error was measured: the message names the nodes
     # the first table needs, not an err ~ inf that no level reached
