@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import algebra, moments
-from .simulate import SimConfig, estimate, save_sample_set
+from .simulate import SimConfig, _sidecar, estimate, save_sample_set
 from .simulate import simulate as run_paths
 from .errors import AccuracyUnreachable, NoConvergence, OverflowDomain, _as_order
 
@@ -142,8 +142,8 @@ def cmd_mgf(args) -> str:
     qr = moments.mgf_quad(st, contour=spec)
     val = qr.value
     return _scalar_text(args, "mgf", val.real, qr.err_estimate, spec,
-                        f"mgf({t}) (gamma={args.gamma:.10g}) = {val.real:.15g}"
-                        f"{val.imag:+.3g}i",
+                        f"mgf({t.real:.10g}{t.imag:+.10g}i) (gamma={args.gamma:.10g}) = "
+                        f"{val.real:.15g}{val.imag:+.3g}i",
                         t_re=args.t_re, t_im=args.t_im, gamma=args.gamma, value_im=val.imag)
 
 
@@ -181,7 +181,7 @@ def cmd_simulate(args) -> str:
         raise _UsageError(str(exc))
     if cfg.num_paths < 2:
         raise _UsageError("--paths must be >= 2 for a standard error")
-    _check_out(args.samples, args.samples + ".json")
+    _check_out(args.samples, _sidecar(args.samples))
     print(f"simulating {cfg.num_paths} paths "
           f"(N = {cfg.steps_per_side} steps/side) ...", file=sys.stderr)
     try:
@@ -189,7 +189,7 @@ def cmd_simulate(args) -> str:
     except MemoryError:
         raise _UsageError(f"a sample set of {cfg.num_paths} paths cannot be allocated")
     save_sample_set(samples, args.samples)
-    print(f"wrote {args.samples} and {args.samples}.json", file=sys.stderr)
+    print(f"wrote {args.samples} and {_sidecar(args.samples)}", file=sys.stderr)
 
     spec = _contour_from_env()
     e_v2, e_v4 = (moments.moment(n, cfg.gamma, spec) for n in (2, 4))

@@ -37,14 +37,14 @@ All but the density are one integral,
 
     I(P, t) = (1/2 pi i) * int P(z, r) / (Ai(z) Ai(z + t)) dz,  r = Ai'/Ai.
 
-At the canonical gamma = 1/sqrt(2) (so 2 gamma^2 = 1) E V^n = I(p_n, 0),
-and general gamma rescales by 2^{-n/3} gamma^{-2n/3}; E M_gamma =
--2^{-2/3} gamma^{-1/3} I(z, 0), so E V_gamma^2 = E M_gamma / (3 gamma)
-ties the two together; the mgf is I(1, t) (Groeneboom, PTRF 81, 1989)
-and the cf I(1, i t).  Only `moment_by_parts` brings in r: each split
-(-1)^j (d^j 1/Ai)(d^k 1/Ai) is P(z, r) / Ai^2.  One cache, keyed by P's
-float coefficients (one row per power of r), t and the contour, holds
-every I; the zero polynomial (every odd moment) gives 0 without a table.
+At the canonical gamma = 1/sqrt(2) (so 2 gamma^2 = 1) E V^n = I(p_n, 0);
+V_gamma = s V, s = `length_scale(gamma)`, so E V_gamma^n = s^n E V^n and
+E M_gamma = -sqrt(s/2) I(z, 0), tied by E V_gamma^2 = E M_gamma / (3 gamma).
+The mgf is I(1, t) (Groeneboom, PTRF 81, 1989) and the cf I(1, i t).
+Only `moment_by_parts` brings in r: each split (-1)^j (d^j 1/Ai)(d^k 1/Ai)
+is P(z, r) / Ai^2.  One cache, keyed by P's float coefficients (one row per
+power of r), t and the contour, holds every I; the zero polynomial (every
+odd moment) gives 0 without a table.
 """
 from __future__ import annotations
 
@@ -348,7 +348,7 @@ def moment_quad(n: int, gamma: float = CANONICAL_GAMMA,
     n = _as_order(n, "moment order")
     gamma = _as_real(gamma, "gamma must be a positive real", positive=True)
     try:
-        scale = 2.0 ** (-n / 3.0) * gamma ** (-2.0 * n / 3.0)
+        scale = length_scale(gamma) ** n
         coeffs = _moment_coeffs(n)
     except (OverflowError, OverflowDomain):     # from the power, or p_n's coefficients
         pass
@@ -408,10 +408,9 @@ def moment_by_parts(j: int, k: int,
 
 def mean_max_quad(gamma: float = CANONICAL_GAMMA,
                   contour: Optional[ContourSpec] = None) -> QuadResult:
-    """E M_gamma = -2^{-2/3} gamma^{-1/3} (1/2 pi i) int z/Ai(z)^2 dz."""
-    gamma = _as_real(gamma, "gamma must be a positive real", positive=True)
-    return _real(_ai_product_integral(_Z_ROWS, 0, _spec(contour)),
-                 -(2.0 ** (-2.0 / 3.0)) * gamma ** (-1.0 / 3.0))
+    """E M_gamma = -sqrt(s/2) (1/2 pi i) int z/Ai(z)^2 dz, s = length_scale(gamma)."""
+    scale = -math.sqrt(0.5 * length_scale(gamma))
+    return _real(_ai_product_integral(_Z_ROWS, 0, _spec(contour)), scale)
 
 
 def mean_max(gamma: float = CANONICAL_GAMMA,
@@ -576,6 +575,7 @@ def identity_suite(contour: Optional[ContourSpec] = None) -> list[IdentityCheck]
               moment(2, g, spec), mean_max(g, spec) / (3.0 * g), 1e-6)
     base = moment(2, CANONICAL_GAMMA, spec)
     for g in (0.25, 3.0):
+        # the law V_gamma = s V in its exponent form, apart from length_scale
         check(f"scaling invariance n=2, gamma={g}",
               moment(2, g, spec) * 2.0 ** (2.0 / 3.0) * g ** (4.0 / 3.0), base, 1e-10)
     # the product integrand's contour invariance: the cf on the spec's line

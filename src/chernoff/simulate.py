@@ -23,6 +23,7 @@ in the same order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -178,10 +179,10 @@ def _block(plan: _Plan, ws: _Workspace, lo: int, count: int) -> None:
         w_at[lo:lo + count] = w[rows, pick]
 
 
-def _sample(cfg: SimConfig, strides: tuple[int, ...]) -> list:
+def _sample(cfg: SimConfig, strides: tuple[int, ...]) -> list[SampleSet]:
     """All paths of cfg in blocks of about _BLOCK_BYTES of grid values, which
-    one worker thread per core claims in path order; one (v, m,
-    w_at_argmax) triple of arrays per stride."""
+    one worker thread per core claims in path order: one SampleSet per
+    stride k, on the grid of step k * cfg.step, after the horizon check."""
     from concurrent.futures import ThreadPoolExecutor
 
     plan = _Plan(cfg, strides)
@@ -209,19 +210,20 @@ def _sample(cfg: SimConfig, strides: tuple[int, ...]) -> list:
                 r.result()
         finally:
             stop.set()  # so does a Ctrl-C
-    return plan.out
+    sets = [SampleSet(*out, config=dataclasses.replace(cfg, step=k * cfg.step) if k > 1 else cfg)
+            for k, out in zip(strides, plan.out)]
+    frac = float(np.mean(np.abs(sets[0].v) >= cfg.horizon - _BOUNDARY_MARGIN))
+    if frac >= _BOUNDARY_FRACTION:
+        warnings.warn(
+            f"{frac:.2e} of paths peaked within {_BOUNDARY_MARGIN} of the "
+            f"horizon; increase horizon for unbiased samples", RuntimeWarning)
+    return sets
 
 
 def simulate(cfg: SimConfig) -> SampleSet:
     """Simulate argmax samples; emits a warning if a non-negligible fraction
     of paths attains the maximum within 0.5 of the horizon boundary."""
-    [(v, m, w_at)] = _sample(cfg, (1,))
-    frac = float(np.mean(np.abs(v) >= cfg.horizon - _BOUNDARY_MARGIN))
-    if frac >= _BOUNDARY_FRACTION:
-        warnings.warn(
-            f"{frac:.2e} of paths peaked within {_BOUNDARY_MARGIN} of the "
-            f"horizon; increase horizon for unbiased samples", RuntimeWarning)
-    return SampleSet(v=v, m=m, w_at_argmax=w_at, config=cfg)
+    return _sample(cfg, (1,))[0]
 
 
 def estimate(s: SampleSet, statistic: str, order: Optional[int] = None,
@@ -261,25 +263,27 @@ def estimate(s: SampleSet, statistic: str, order: Optional[int] = None,
 def discretization_probe(cfg: SimConfig) -> tuple[SampleSet, SampleSet]:
     """Re-extract the argmax of the same Brownian paths on the 2h subgrid.
 
-    Returns (fine, coarse).  The fine set is bit-identical to simulate(cfg);
-    the coarse one shares every path, so the difference of a statistic
-    between the two isolates the discretization effect with almost all the
-    Monte Carlo noise cancelling.  Requires an even number of steps per
-    side, at least 4, so the coarse grid contains t = 0 and both endpoints
-    and is a valid SimConfig; refuses any other grid before sampling.
+    Returns (fine, coarse).  The fine set is simulate(cfg), bit for bit and
+    warning alike; the coarse one shares every path, so the difference of a
+    statistic between the two isolates the discretization effect with almost
+    all the Monte Carlo noise cancelling.  Requires an even number of steps
+    per side, at least 4, so the coarse grid contains t = 0 and both
+    endpoints and is a valid SimConfig; refuses any other grid first.
     """
     if cfg.steps_per_side % 2 or cfg.steps_per_side < 4:
         raise ValueError("discretization_probe needs an even steps_per_side of at least 4, "
                          f"got {cfg.steps_per_side}")
-    (v, m, w_at), (v_c, m_c, w_c) = _sample(cfg, (1, 2))
-    fine = SampleSet(v=v, m=m, w_at_argmax=w_at, config=cfg)
-    coarse = SampleSet(v=v_c, m=m_c, w_at_argmax=w_c,
-                       config=dataclasses.replace(cfg, step=2.0 * cfg.step))
-    return fine, coarse
+    return tuple(_sample(cfg, (1, 2)))
 
 
 #: rows formatted per call of the CSV writer
 _CSV_ROWS = 4096
+#: the sample file's header: the SampleSet fields its columns hold, in order
+_COLUMNS = ("v", "m", "w_at_argmax")
+
+
+def _sidecar(csv_path: Union[str, Path]) -> str:
+    return os.fspath(csv_path) + ".json"
 
 
 def save_sample_set(s: SampleSet, csv_path: Union[str, Path]) -> None:
@@ -288,24 +292,49 @@ def save_sample_set(s: SampleSet, csv_path: Union[str, Path]) -> None:
     Each value is written as %.17g, which round-trips every double; a block
     of rows is formatted by one string operation.
     """
-    csv_path = Path(csv_path)
-    rows = np.column_stack([s.v, s.m, s.w_at_argmax])
-    with csv_path.open("w") as fh:
-        fh.write("v,m,w_at_argmax\n")
+    rows = np.column_stack([getattr(s, c) for c in _COLUMNS])
+    row = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(_COLUMNS) + "\n")
         for lo in range(0, s.num_paths, _CSV_ROWS):
             block = rows[lo:lo + _CSV_ROWS]
-            fh.write("%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
-    sidecar = csv_path.with_suffix(csv_path.suffix + ".json")
-    with sidecar.open("w") as fh:
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    with open(_sidecar(csv_path), "w") as fh:
         json.dump(dataclasses.asdict(s.config), fh, indent=2)
         fh.write("\n")
 
 
 def load_sample_set(csv_path: Union[str, Path]) -> SampleSet:
-    csv_path = Path(csv_path)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    sidecar = csv_path.with_suffix(csv_path.suffix + ".json")
-    with sidecar.open() as fh:
-        cfg = SimConfig(**json.load(fh))
-    return SampleSet(v=data[:, 0], m=data[:, 1], w_at_argmax=data[:, 2],
-                     config=cfg)
+    """The sample set that `save_sample_set` wrote to csv_path.
+
+    Refuses with a ValueError that names the file: a header other than
+    v,m,w_at_argmax, no row after it, a row that is not three numbers, and
+    a sidecar that is not a JSON object with exactly SimConfig's fields and
+    a valid config.  The row count may differ from the config's num_paths,
+    since a prefix of a run's rows is a valid file.
+    """
+    header = ",".join(_COLUMNS)
+    try:
+        with open(csv_path) as fh:
+            if fh.readline().rstrip("\n") != header:
+                raise ValueError(f"the header is not {header}")
+            first = fh.readline()
+            if not first.strip():
+                raise ValueError("no sample row follows the header")
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
+                              ndmin=2)
+        if data.shape[1] != len(_COLUMNS):
+            raise ValueError(f"rows hold {data.shape[1]} values, not {len(_COLUMNS)}")
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from exc
+    sidecar = _sidecar(csv_path)
+    names = {f.name for f in dataclasses.fields(SimConfig)}
+    try:
+        with open(sidecar) as fh:
+            fields = json.load(fh)
+        if not isinstance(fields, dict) or set(fields) != names:
+            raise ValueError(f"not a JSON object with exactly the keys {sorted(names)}")
+        cfg = SimConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{sidecar}: {exc}") from exc
+    return SampleSet(**dict(zip(_COLUMNS, data.T)), config=cfg)

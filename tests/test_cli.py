@@ -251,7 +251,7 @@ SCALAR_TEXT = [
     (("cf", "--t", "1", "--gamma", "2"), r"cf\(1\) \(gamma=2\) = (\S+)  err<=(\S+)",
      "quantity,t,gamma,value,err_estimate", "char_fn,1.0,2.0"),
     (("mgf", "--t-re", "-3", "--t-im", "0.5"),
-     r"mgf\(\(-3\+0\.5j\)\) \(gamma=0\.7071067812\) = (\S+?)[+-]\S+i  err<=(\S+)",
+     r"mgf\(-3\+0\.5i\) \(gamma=0\.7071067812\) = (\S+?)[+-]\S+i  err<=(\S+)",
      "quantity,t_re,t_im,gamma,value_im,value,err_estimate",
      "mgf,-3.0,0.5,0.7071067811865475,{value_im}"),
     (("mean-max", "--gamma", "2"), r"E M \(gamma=2\) = (\S+)  err<=(\S+)",

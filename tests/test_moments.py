@@ -151,6 +151,13 @@ def test_gamma_scaling_invariance(n):
         assert abs(v - vals[0]) <= 1e-10
 
 
+def test_canonical_moment_is_the_bare_integral():
+    # length_scale(CANONICAL_GAMMA) is exactly 1.0, so the scale moment_quad
+    # applies leaves every bit of the integral of p_n / Ai^2
+    for n in range(0, 13, 2):
+        assert moment_quad(n) == contour_integral_inv_ai2(algebra.moment_polynomial(n)), n
+
+
 def test_contour_invariance():
     base = moment_quad(2)
     for sig in (0.5, 1.0):
@@ -266,11 +273,16 @@ def _one_row_battery():
 # of the coarsest step whose check could pass, which moved four labels, all
 # at sigma=0.0 rel_tol=1e-13: "cf 1.0" returns at h = 1/8 on 770 nodes
 # (err 2.4e-14, was 6.0e-14 on 386), and "cf 3.5", "cf 7.25" and "mgf 2.0"
-# raise the same NoConvergence at h = 0.125 instead of 0.25.  Computed with
-# numpy 2.4 on x86-64 Linux, like KERNEL_DIGEST in test_airy.py: another
+# raise the same NoConvergence at h = 0.125 instead of 0.25.  Re-pinned when
+# moment_quad took its scale from length_scale, exactly 1.0 at canonical
+# gamma (2^(-n/3) gamma^(-2n/3) had been up to 1 + 6.7e-16), which moved the
+# value and err_estimate of ten labels, each by at most 7.2e-16 relative:
+# E V^4, 6, 8, 10 and 12 at sigma=0.0 rel_tol=1e-10, E V^4 at sigma=0.0
+# rel_tol=1e-13, and E V^4, 6, 8 and 10 at sigma=0.5 rel_tol=1e-10.  Computed
+# with numpy 2.4 on x86-64 Linux, like KERNEL_DIGEST in test_airy.py: another
 # numpy build or libm may round a last bit differently, and then the digest
 # must be recomputed there from that older code
-ONE_ROW_DIGEST = "796b67b5ea681d9de7c1d793fc9123b165af437444a1626393d4f7e816ead1d9"
+ONE_ROW_DIGEST = "80213d89586a425827a49e5f6293aaba69233103212507d40a0176e701ad7e30"
 
 
 def test_one_row_results_bits_frozen():

@@ -8,6 +8,7 @@ many paths run alongside.
 import dataclasses
 import hashlib
 import importlib
+import json
 import math
 import sys
 import time
@@ -355,6 +356,33 @@ def test_csv_round_trip(tmp_path, small_set):
     assert back.config == small_set.config
     header = path.read_text().splitlines()[0]
     assert header == "v,m,w_at_argmax"
+    # a prefix of a run's rows is a valid file, whatever its config's num_paths
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:11]))
+    back = load_sample_set(path)
+    assert (back.num_paths, back.config.num_paths) == (10, SMALL.num_paths)
+    assert np.array_equal(back.m, small_set.m[:10])
+
+
+@pytest.mark.parametrize("csv, sidecar, says", [
+    ("m,v,w_at_argmax\n1,2,3\n", {}, "header is not v,m,w_at_argmax"),
+    ("v,m,w_at_argmax\n1,2\n3,4\n", {}, "rows hold 2 values, not 3"),
+    ("v,m,w_at_argmax\n1,2,3\n4,5\n", {}, "number of columns changed"),
+    ("v,m,w_at_argmax\n", {}, "no sample row"),
+    ("v,m,w_at_argmax\n1,2,3\n", {"seed": None}, "exactly the keys"),
+    ("v,m,w_at_argmax\n1,2,3\n", {"extra": 1}, "exactly the keys"),
+    ("v,m,w_at_argmax\n1,2,3\n", {"step": 0.07}, "integer multiple of step"),
+])
+def test_load_refuses_malformed_files(tmp_path, csv, sidecar, says):
+    path = tmp_path / "s.csv"
+    path.write_text(csv)
+    fields = {k: v for k, v in {**dataclasses.asdict(SMALL), **sidecar}.items()
+              if v is not None}
+    (tmp_path / "s.csv.json").write_text(json.dumps(fields))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # numpy's "input contained no data" too
+        with pytest.raises(ValueError, match=says) as exc:
+            load_sample_set(path)
+    assert exc.type is ValueError and str(exc.value).startswith(str(path)), exc.value
 
 
 # the bytes a row-by-row f"{x:.17g}" writer produced for these values
@@ -387,14 +415,18 @@ def test_csv_bytes_frozen(tmp_path, monkeypatch):
 
 
 def test_boundary_warning():
-    # nearly flat drift, tiny window: maxima pile up at the horizon
+    # nearly flat drift, tiny window: maxima pile up at the horizon; the
+    # probe's fine set is simulate's, so it warns alike, once
     cfg = SimConfig(gamma=0.01, horizon=1.0, step=0.1, num_paths=100, seed=3)
-    with pytest.warns(RuntimeWarning, match="horizon"):
-        simulate(cfg)
+    for fn in (simulate, discretization_probe):
+        with pytest.warns(RuntimeWarning, match="horizon") as caught:
+            fn(cfg)
+        assert len(caught) == 1, fn.__name__
 
 
 def test_no_boundary_warning_at_default_horizon(recwarn):
-    simulate(SimConfig(horizon=4.0, step=0.02, num_paths=64, seed=1))
+    for fn in (simulate, discretization_probe):
+        fn(SimConfig(horizon=4.0, step=0.02, num_paths=64, seed=1))
     assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
