@@ -182,12 +182,15 @@ def cmd_simulate(args) -> str:
     if cfg.num_paths < 2:
         raise _UsageError("--paths must be >= 2 for a standard error")
     _check_out(args.samples, _sidecar(args.samples))
-    print(f"simulating {cfg.num_paths} paths "
-          f"(N = {cfg.steps_per_side} steps/side) ...", file=sys.stderr)
     try:
-        samples = run_paths(cfg)
+        # the sample set's three columns; np.empty touches no page, so this
+        # refuses, before any work, a set that cannot be allocated
+        np.empty((3, cfg.num_paths))
     except MemoryError:
         raise _UsageError(f"a sample set of {cfg.num_paths} paths cannot be allocated")
+    print(f"simulating {cfg.num_paths} paths "
+          f"(N = {cfg.steps_per_side} steps/side) ...", file=sys.stderr)
+    samples = run_paths(cfg)
     save_sample_set(samples, args.samples)
     print(f"wrote {args.samples} and {_sidecar(args.samples)}", file=sys.stderr)
 

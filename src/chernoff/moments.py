@@ -11,10 +11,11 @@ integrands read: 1/Ai, the relative bound bnd/|Ai|, r = Ai'/Ai and
 bnd/|Ai'|, formed once when the node is evaluated, and all 0 where Ai
 overflows.  A table at the nodes z = c + i k h, |k h| <= 2Y, is gathered
 from its line's store, reading nodes below the real axis as conjugates,
-and only ordinates the store lacks are evaluated; one cap bounds the
-store (see `_node_table`).  All moments, E M, the identity suite, the
-density and the cf read the sigma = 0 line, and the mgf adds the line
-through sigma + t.  The cf is the mgf at i t on the caller's contour, so
+and only ordinates the store lacks are evaluated; a table on the real
+axis is kept by its line, and one cap bounds the store (see
+`_node_table`).  All moments, E M, the identity suite, the density and
+the cf read the sigma = 0 line, and the mgf adds the line through
+sigma + t.  The cf is the mgf at i t on the caller's contour, so
 its shifted factor Ai(z + i t) lies on that same line.  On a strip of
 half-width a the error of T_h falls like e^{-2 pi a/h}.  The check at h
 compares T_h with T_2h, so it can pass only once T_2h meets the
@@ -122,26 +123,34 @@ class QuadResult:
 class _Line(NamedTuple):
     """What every integrand reads at z = x + i y on one line Re z = x, for
     the sorted ordinates y >= 0 evaluated there so far: 1/Ai, the relative
-    bound bnd/|Ai|, r = Ai'/Ai and bnd/|Ai'|, all four 0 where Ai overflowed."""
+    bound bnd/|Ai|, r = Ai'/Ai and bnd/|Ai'|, all four 0 where Ai overflowed;
+    and the real-axis tables gathered from them, by (h, m) (see `_node_table`)."""
 
     y: np.ndarray
     inv: np.ndarray
     rel: np.ndarray
     r: np.ndarray
     rel_r: np.ndarray
+    kept: dict
 
 
-#: cap on the nodes held by all cached lines together (56 bytes each)
+#: cap on the nodes held by all cached lines together: their ordinates (56
+#: bytes each) and the nodes of their kept tables (48 bytes each)
 _TABLE_NODES = 1 << 14
 _LINES: dict[float, _Line] = {}
-#: what a line with no nodes yet reads; never mutated (inserts build new arrays)
-_EMPTY = _Line(*(np.empty(0, dt) for dt in (float, complex, float, complex, float)))
+#: what a line with no nodes yet reads; never mutated (changes build new lines)
+_EMPTY = _Line(*(np.empty(0, dt) for dt in (float, complex, float, complex, float)), {})
 _LINES_LOCK = threading.Lock()
+
+
+def _held(line: _Line) -> int:
+    """The nodes a line holds: its ordinates and those of its kept tables."""
+    return line.y.size + sum(tab[0].size for tab in line.kept.values())
 
 
 def _node_table(origin: complex, h: float, half_width: float):
     """(1/Ai, bnd/|Ai|, Ai'/Ai, bnd/|Ai'|) at z = origin + i k h for
-    |k h| <= half_width, gathered from the store of its line.
+    |k h| <= half_width, read-only and gathered from the store of its line.
 
     Each line Re z = x keeps every node evaluated on it, by |Im z|; a node
     below the real axis is read as the conjugate of its mirror image, which
@@ -151,16 +160,26 @@ def _node_table(origin: complex, h: float, half_width: float):
     are formed once, as they are merged in.  Where Ai overflows the kernel
     returns inf, with Ai' and the bound 0, and all four are stored as 0, so
     every integrand (each divides by Ai) vanishes there exactly; where Ai
-    underflows 1/Ai is not finite, so `_trapezoid` raises.  An insert that
-    would take all lines past _TABLE_NODES nodes drops every other line and
-    leaves this one only this table's ordinates: the cap or one table.
+    underflows 1/Ai is not finite, so `_trapezoid` raises.
+
+    A table on the real axis is a function of (x, h, m), m = floor(half_width
+    / h), alone, so its line keeps it once gathered, where it fits under
+    _TABLE_NODES, and a repeat read returns the same arrays.  Kept tables
+    yield first: an insert that would take all lines past the cap drops
+    every kept table, and if the ordinates alone would still pass it, every
+    other line, leaving this one only this table's ordinates: the cap or
+    one table.
     """
     x = origin.real + 0.0           # one key for the line through -0.0 and 0.0
     m = math.floor(half_width / h)
-    y = origin.imag + h * np.arange(-m, m + 1)
-    ay = np.abs(y)
+    key = (h, m) if origin.imag == 0.0 else None
     with _LINES_LOCK:
         line = _LINES.get(x, _EMPTY)
+        tab = line.kept.get(key)
+        if tab is not None:
+            return tab
+        y = origin.imag + h * np.arange(-m, m + 1)
+        ay = np.abs(y)
         pos = np.searchsorted(line.y, ay)
         hit = line.y.take(pos, mode="clip") == ay if line.y.size else np.zeros(ay.size, bool)
         new = ay[~hit]
@@ -168,12 +187,16 @@ def _node_table(origin: complex, h: float, half_width: float):
             new = np.sort(new)
             # not np.unique: its first call imports numpy.ma, about 20 ms
             new = new[np.diff(new, prepend=-1.0) > 0.0]
-            # a contour pass holds a handful of lines, so the sum is cheap
+            # a contour pass holds a handful of lines, so the sums are cheap
+            if sum(map(_held, _LINES.values())) + new.size > _TABLE_NODES:
+                for lx in list(_LINES):
+                    _LINES[lx] = _LINES[lx]._replace(kept={})
+                line = line._replace(kept={})
             if sum(ln.y.size for ln in _LINES.values()) + new.size > _TABLE_NODES:
                 _LINES.clear()
                 keep = np.zeros(line.y.size, bool)
                 keep[pos[hit]] = True
-                line = _Line(*(a[keep] for a in line))
+                line = _Line(*(a[keep] for a in line[:5]), {})
             ai, aip, bnd = _ai_kernel(x + 1j * new)
             finite = np.isfinite(ai)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -181,14 +204,18 @@ def _node_table(origin: complex, h: float, half_width: float):
                 vals = (new, inv, np.where(finite, bnd / np.abs(ai), 0.0), aip * inv,
                         bnd / np.maximum(np.abs(aip), 1e-300))
             at = np.searchsorted(line.y, new)
-            line = _Line(*(np.insert(old, at, val) for old, val in zip(line, vals)))
+            line = _Line(*(np.insert(old, at, val) for old, val in zip(line[:5], vals)), line.kept)
             pos = np.searchsorted(line.y, ay)
             _LINES[x] = line
-        inv, rel, r, rel_r = (a[pos] for a in line[1:])
-    low = np.signbit(y)
-    np.conjugate(inv, out=inv, where=low)
-    np.conjugate(r, out=r, where=low)
-    return inv, rel, r, rel_r
+        tab = tuple(a[pos] for a in line[1:5])
+        low = np.signbit(y)
+        np.conjugate(tab[0], out=tab[0], where=low)
+        np.conjugate(tab[2], out=tab[2], where=low)
+        for a in tab:
+            a.flags.writeable = False
+        if key is not None and sum(map(_held, _LINES.values())) + y.size <= _TABLE_NODES:
+            _LINES[x] = line._replace(kept={**line.kept, key: tab})
+    return tab
 
 
 def _first_step(a: float, tol: float, u_max: float = 0.0) -> float:
@@ -212,7 +239,29 @@ def _first_step(a: float, tol: float, u_max: float = 0.0) -> float:
     return math.ldexp(0.5, math.frexp(min(a, _TWO_PI * a / -math.log(tol), phase, alias))[1] - 1)
 
 
-def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
+class _Level(NamedTuple):
+    """One level's nodes k h, |k| <= m = floor(2Y/h), read-only: k, the even
+    nodes that T_2h sums, and the octave's halves Y < |k h| <= 1.5Y and
+    |k h| > 1.5Y that `_tail` charges."""
+
+    k: np.ndarray
+    even: np.ndarray
+    inner: np.ndarray
+    outer: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _level(h: float, y: float) -> _Level:
+    m = math.floor(2.0 * y / h)
+    k = np.arange(-m, m + 1)
+    ay = np.abs(k) * h
+    level = _Level(k, k % 2 == 0, (ay > y) & (ay <= 1.5 * y), ay > 1.5 * y)
+    for a in level:
+        a.flags.writeable = False
+    return level
+
+
+def _tail(w: np.ndarray, level: _Level, h: float) -> float:
     """Charge for |y| > 2Y from the octave Y < |y| <= 2Y of the magnitudes w.
 
     When the octave's outer half holds at most half of its inner half, the
@@ -220,9 +269,8 @@ def _tail(w: np.ndarray, k: np.ndarray, h: float, y: float) -> float:
     half-octave integrals then shrink at least geometrically); otherwise
     the whole octave is charged, which asks for a larger Y.
     """
-    ay = np.abs(k) * h
-    inner = h * w[(ay > y) & (ay <= 1.5 * y)].sum()
-    outer = h * w[ay > 1.5 * y].sum()
+    inner = h * w[level.inner].sum()
+    outer = h * w[level.outer].sum()
     return outer if outer <= 0.5 * inner else inner + outer
 
 
@@ -236,8 +284,9 @@ def _trapezoid(origins, integrand, tol: float, budget: int, tol_of, u_max: float
     """The line sum every quadrature here shares.
 
     At each level it gathers the table of every origin on |y| <= 2Y (see
-    `_node_table`), and integrand(k, h, *tables) returns, elementwise, T_h
-    and T_2h over the even nodes, and per node |F| and its pointwise bound.
+    `_node_table`), and integrand(level, h, *tables) (see `_level`) returns,
+    elementwise, T_h and T_2h over the even nodes, and per node |F| and its
+    pointwise bound.
     err adds |T_h - T_2h|, h sum bound, 20 eps h sum |F| for rounding and
     the tail charge.  h starts at `_first_step` of tol and u_max on the
     strip about the leftmost origin, Y at _START_HEIGHT; Y doubles while
@@ -259,12 +308,12 @@ def _trapezoid(origins, integrand, tol: float, budget: int, tol_of, u_max: float
                 count = f"{need:.6g}" if need < math.inf else "more than 1.8e+308"
                 seen = (f"no level ran, the first table needs {count} Airy nodes", h, y)
             raise _unmet("node budget exhausted", *seen, budget)
-        k = np.arange(-math.floor(reach), math.floor(reach) + 1)
+        level = _level(h, y)
         tables = [_node_table(o, h, 2.0 * y) for o in origins]
         # a non-finite integrand raises below, without numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            v, v2, w, e = integrand(k, h, *tables)
-            pts, mag, tail = h * e.sum(), h * w.sum(), _tail(w + e, k, h, y)
+            v, v2, w, e = integrand(level, h, *tables)
+            pts, mag, tail = h * e.sum(), h * w.sum(), _tail(w + e, level, h)
             goal = tol_of(v, mag)
             disc = np.abs(v - v2)
             floor = pts + 20.0 * _EPS * mag
@@ -314,12 +363,12 @@ def _ai_product_integral(rows: tuple, t: complex, spec: ContourSpec):
     c = complex(spec.sigma)
     origins = (c,) if t == 0 else (c, c + t)
 
-    def integrand(k, h, tab, *shifted):
+    def integrand(level, h, tab, *shifted):
         inv0, rel0, r, rel_r = tab
         inv1, rel1 = shifted[0][:2] if shifted else (inv0, rel0)
         f = e = None
         for b, row in terms:
-            p = row[0] if len(row) == 1 else np.polyval(row[::-1], c + 1j * h * k)
+            p = row[0] if len(row) == 1 else np.polyval(row[::-1], c + 1j * h * level.k)
             rel = rel0 + rel1
             if b:       # r = Ai'/Ai stays moderate where Ai' ** b would overflow
                 p = p * r ** b
@@ -327,7 +376,7 @@ def _ai_product_integral(rows: tuple, t: complex, spec: ContourSpec):
             val = p * inv0 * inv1
             err = np.abs(val) * rel
             f, e = (val, err) if f is None else (f + val, e + err)
-        return h * f.sum(), 2.0 * h * f[k % 2 == 0].sum(), np.abs(f), e
+        return h * f.sum(), 2.0 * h * f[level.even].sum(), np.abs(f), e
 
     val, err, nodes = _trapezoid(origins, integrand, spec.rel_tol, _LINE_NODES,
                                  lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
@@ -508,16 +557,17 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
         raise OverflowDomain(f"xs / length_scale(gamma) at gamma = {gamma!r} "
                              "overflows double precision")
 
-    def integrand(k, h, tab):
+    def integrand(level, h, tab):
         inv, rel = tab[:2]
         ghat = _SQRT2 * inv
         # node -k is the conjugate of node k (see `_node_table`), so the real
         # part of sum_k ghat_k e^{-i k h u} is sum_{k >= 0} A_k cos(k h u) +
         # B_k sin(k h u), A_k = 2 Re ghat_k and B_k = 2 Im ghat_k for k > 0
+        k = level.k
         m = k[-1]
         a, b = 2.0 * ghat.real[m:], 2.0 * ghat.imag[m:]
         a[0], b[0] = ghat.real[m], 0.0
-        even = 2.0 * (k[m:] % 2 == 0)
+        even = 2.0 * level.even[m:]
         wa = np.stack([a, even * a], axis=1) * (h / _TWO_PI)
         wb = np.stack([b, even * b], axis=1) * (h / _TWO_PI)
         t = h * k[m:]

@@ -394,17 +394,23 @@ def test_simulate_refuses_before_simulating(capsys, tmp_path, paths, target):
 
 
 def test_simulate_unallocatable_sample_set_is_usage_error(capsys, tmp_path, monkeypatch):
-    # numpy refuses 10^12 paths (7.3 TiB) with a MemoryError of its own,
-    # before any block runs; no test asks for the real allocation
-    def refuse(cfg):
-        raise MemoryError("Unable to allocate 7.28 TiB")
+    # numpy refuses 10^12 paths (7.3 TiB per column) with a MemoryError of
+    # its own, before any work; no test asks for the real allocation, so an
+    # array that large is refused here wherever it is asked for
+    empty = np.empty
 
-    monkeypatch.setattr(chernoff.cli, "run_paths", refuse)
+    def refuse(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) >= 1e12:
+            raise MemoryError("Unable to allocate 21.8 TiB")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse)
     code, out, err = run(capsys, "simulate", "--paths", "1000000000000",
                          "--out", str(tmp_path / "x.csv"))
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == ("usage error: a sample set of 1000000000000 paths "
-                                    "cannot be allocated")
+    assert "simulating" not in err
+    assert err.splitlines() == ["usage error: a sample set of 1000000000000 paths "
+                                "cannot be allocated"]
     assert list(tmp_path.iterdir()) == []
 
 

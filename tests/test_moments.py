@@ -670,7 +670,7 @@ def test_node_budget_alone_bounds_the_height(monkeypatch):
     # a tail that never decays doubles Y until the next table would pass
     # the node budget
     moments._ai_product_integral.cache_clear()
-    monkeypatch.setattr(moments, "_tail", lambda w, k, h, y: 1e300)
+    monkeypatch.setattr(moments, "_tail", lambda w, level, h: 1e300)
     with pytest.raises(NoConvergence, match="node budget exhausted"):
         moment_quad(2, contour=ContourSpec(sigma=2.0, rel_tol=1e-3))
 
@@ -947,18 +947,58 @@ def _direct_table(origin, h, half_width):
             bnd / np.maximum(np.abs(aip), 1e-300)), z
 
 
-@pytest.mark.parametrize("origin, h, half_width", [
+TABLES = [
     (0j, 0.25, 24.0), (0j, 0.125, 24.0), (2.5j, 0.125, 24.0), (-7.25j, 1.0, 48.0),
     (1j / 3.0, 0.0625, 12.0), (0.1j, 0.3, 10.0), (0.5 + 0j, 0.5, 24.0),
-    (-1.3 + 2.0j, 0.25, 24.0), (3.0 - 1.5j, 0.125, 6.0), (0j, 1.0, 600.0)])
-def test_table_bits_equal_direct_kernel(monkeypatch, origin, h, half_width):
-    # the store is filled by other tables first, so the table mixes nodes read
-    # from it, mirrored across the real axis and evaluated fresh
-    _empty_store(monkeypatch)
+    (-1.3 + 2.0j, 0.25, 24.0), (3.0 - 1.5j, 0.125, 6.0), (0j, 1.0, 600.0)]
+
+
+def _fill_store(origin, h):
+    """Tables on the line of origin, so the next one mixes nodes read from
+    the store, mirrored across the real axis and evaluated fresh."""
     for c, step in ((origin.real + 0j, 0.5), (origin.real + 2j, 0.25), (origin, 2.0 * h)):
         moments._node_table(c, step, 24.0)
+
+
+@pytest.mark.parametrize("origin, h, half_width", TABLES)
+def test_table_bits_equal_direct_kernel(monkeypatch, origin, h, half_width):
+    _empty_store(monkeypatch)
+    _fill_store(origin, h)
     tab = moments._node_table(origin, h, half_width)
     assert _bits(*tab) == _bits(*_direct_table(origin, h, half_width)[0])
+
+
+@pytest.mark.parametrize("origin, h, half_width", [o for o in TABLES if o[0].imag == 0.0])
+def test_kept_tables_are_exact_and_read_only(monkeypatch, origin, h, half_width):
+    # a real-axis table is kept by its line once gathered: a repeat read
+    # returns the same arrays, with the bits of a direct evaluation
+    _empty_store(monkeypatch)
+    _fill_store(origin, h)
+    direct = _bits(*_direct_table(origin, h, half_width)[0])
+    first = moments._node_table(origin, h, half_width)
+    second = moments._node_table(origin, h, half_width)
+    assert _bits(*first) == direct and _bits(*second) == direct
+    assert all(a is b for a, b in zip(first, second))
+    for a in second:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+def test_kept_tables_yield_before_lines(monkeypatch):
+    # an insert that would pass the cap drops the kept tables first, and
+    # evicts no line while the ordinates alone fit; a table is kept only
+    # where it fits, and one that is not is gathered again from the store
+    _empty_store(monkeypatch, cap=400)
+    calls = _count_airy_points(monkeypatch)
+    moments._node_table(0j, 0.25, 24.0)             # 97 ordinates, a 193-node table
+    assert list(moments._LINES[0.0].kept) == [(0.25, 96)]
+    moments._node_table(0.75 + 0j, 0.125, 24.0)     # 193 new ordinates
+    assert sorted(moments._LINES) == [0.0, 0.75]
+    assert all(not line.kept for line in moments._LINES.values())
+    calls.clear()
+    tab = moments._node_table(0j, 0.25, 24.0)
+    assert calls == [] and not moments._LINES[0.0].kept
+    assert _bits(*tab) == _bits(*_direct_table(0j, 0.25, 24.0)[0])
 
 
 @pytest.mark.parametrize("origin, h, half_width", [
@@ -996,34 +1036,65 @@ def _mixed_requests():
     return [(char_fn, 0.5), (mgf, 0.75), (char_fn, 2.5), (mgf, -1.5), (mgf, 1.5)]
 
 
+def _held():
+    """The nodes the store holds: every line's ordinates and the nodes of
+    its kept tables."""
+    return sum(line.y.size + sum(tab[0].size for tab in line.kept.values())
+               for line in moments._LINES.values())
+
+
 def test_node_tables_shared_between_threads(monkeypatch):
     jobs = _mixed_requests()
     want = [f(t) for f, t in jobs]
-    # a cap below one mgf's two lines makes every new line evict
-    _empty_store(monkeypatch, cap=150)
+    # a cap below one mgf's two lines makes every new line evict, and one
+    # below a table keeps none; at 400 the sigma = 0 line keeps its table
+    # until an insert needs the room
+    for cap in (150, 400):
+        _empty_store(monkeypatch, cap=cap)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda job: job[0](job[1]), jobs * 2, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 2
+        assert _held() <= cap or len(moments._LINES) == 1
+
+
+def test_kept_tables_shared_between_threads(monkeypatch):
+    # threads reading the same real-axis tables get the bits of a direct
+    # evaluation, and each line keeps each table once
+    tables = [(x + 0j, h, 24.0) for x in (0.0, 0.5, -1.3) for h in (0.5, 0.25, 0.125)]
+    want = [_bits(*_direct_table(*t)[0]) for t in tables]
+    _empty_store(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda job: job[0](job[1]), jobs * 2, timeout=120))
+            got = list(pool.map(lambda t: _bits(*moments._node_table(*t)), tables * 4,
+                                timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert got == want * 2
-    held = sum(line.y.size for line in moments._LINES.values())
-    assert held <= 150 or len(moments._LINES) == 1
+    assert got == want * 4
+    assert sorted(moments._LINES) == [-1.3, 0.0, 0.5]
+    for line in moments._LINES.values():
+        assert sorted(line.kept) == [(0.125, 192), (0.25, 96), (0.5, 48)]
+    assert _held() <= moments._TABLE_NODES
 
 
 def test_node_count_follows_inserts_and_evictions(monkeypatch):
     _empty_store(monkeypatch, cap=400)
-    lines = set()
+    lines, kept = set(), set()
     for f, t in _mixed_requests():
         f(t)
         lines |= set(moments._LINES)
-        held = sum(line.y.size for line in moments._LINES.values())
-        assert held <= 400 or len(moments._LINES) == 1
+        kept |= {(x, key) for x, line in moments._LINES.items() for key in line.kept}
+        assert _held() <= 400 or len(moments._LINES) == 1
         for line in moments._LINES.values():
             assert np.all(np.diff(line.y) > 0.0) and line.y[0] >= 0.0
     assert len(lines) > len(moments._LINES)     # some line was evicted
+    assert kept                                 # and some table was kept
 
 
 def test_store_past_the_cap_keeps_only_the_table_being_read(monkeypatch):
