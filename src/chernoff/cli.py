@@ -182,12 +182,17 @@ def cmd_simulate(args) -> str:
     if cfg.num_paths < 2:
         raise _UsageError("--paths must be >= 2 for a standard error")
     _check_out(args.samples, _sidecar(args.samples))
-    try:
-        # the sample set's three columns; np.empty touches no page, so this
-        # refuses, before any work, a set that cannot be allocated
-        np.empty((3, cfg.num_paths))
-    except MemoryError:
-        raise _UsageError(f"a sample set of {cfg.num_paths} paths cannot be allocated")
+    cols = 2 * cfg.steps_per_side + 1
+    for shape, what in (((3, cfg.num_paths), f"a sample set of {cfg.num_paths} paths"),
+                        (cols, f"a grid of {cols} points per path")):
+        try:
+            # the sample set's three columns, then one row of the grid;
+            # np.empty touches no page, so this refuses, before any work,
+            # what cannot be allocated (numpy raises ValueError past its
+            # largest array)
+            np.empty(shape)
+        except (MemoryError, ValueError):
+            raise _UsageError(f"{what} cannot be allocated")
     print(f"simulating {cfg.num_paths} paths "
           f"(N = {cfg.steps_per_side} steps/side) ...", file=sys.stderr)
     samples = run_paths(cfg)

@@ -239,38 +239,21 @@ def _first_step(a: float, tol: float, u_max: float = 0.0) -> float:
     return math.ldexp(0.5, math.frexp(min(a, _TWO_PI * a / -math.log(tol), phase, alias))[1] - 1)
 
 
-class _Level(NamedTuple):
-    """One level's nodes k h, |k| <= m = floor(2Y/h), read-only: k, the even
-    nodes that T_2h sums, and the octave's halves Y < |k h| <= 1.5Y and
-    |k h| > 1.5Y that `_tail` charges."""
-
-    k: np.ndarray
-    even: np.ndarray
-    inner: np.ndarray
-    outer: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _level(h: float, y: float) -> _Level:
-    m = math.floor(2.0 * y / h)
-    k = np.arange(-m, m + 1)
-    ay = np.abs(k) * h
-    level = _Level(k, k % 2 == 0, (ay > y) & (ay <= 1.5 * y), ay > 1.5 * y)
-    for a in level:
-        a.flags.writeable = False
-    return level
-
-
-def _tail(w: np.ndarray, level: _Level, h: float) -> float:
-    """Charge for |y| > 2Y from the octave Y < |y| <= 2Y of the magnitudes w.
+def _tail(w: np.ndarray, h: float, y: float) -> float:
+    """Charge for |y| > 2Y from the octave Y < |y| <= 2Y of the magnitudes w
+    at the nodes k h, k = -m..m.
 
     When the octave's outer half holds at most half of its inner half, the
     outer half bounds all that lies beyond 2Y for log-concave decay (the
     half-octave integrals then shrink at least geometrically); otherwise
-    the whole octave is charged, which asks for a larger Y.
+    the whole octave is charged, which asks for a larger Y.  h is a power
+    of two, so the halves are exactly i < |k| <= o and |k| > o, i =
+    floor(Y/h) and o = floor(1.5Y/h), each summed in node order.
     """
-    inner = h * w[level.inner].sum()
-    outer = h * w[level.outer].sum()
+    m = w.size // 2
+    i, o = math.floor(y / h), math.floor(1.5 * y / h)
+    inner = h * np.concatenate([w[m - o:m - i], w[m + i + 1:m + o + 1]]).sum()
+    outer = h * np.concatenate([w[:m - o], w[m + o + 1:]]).sum()
     return outer if outer <= 0.5 * inner else inner + outer
 
 
@@ -283,10 +266,10 @@ def _unmet(reason: str, err, h: float, y: float, budget: int) -> NoConvergence:
 def _trapezoid(origins, integrand, tol: float, budget: int, tol_of, u_max: float = 0.0):
     """The line sum every quadrature here shares.
 
-    At each level it gathers the table of every origin on |y| <= 2Y (see
-    `_node_table`), and integrand(level, h, *tables) (see `_level`) returns,
-    elementwise, T_h and T_2h over the even nodes, and per node |F| and its
-    pointwise bound.
+    At each level it gathers the table of every origin at the nodes k h,
+    k = -m..m, m = floor(2Y/h) (see `_node_table`), and integrand(h,
+    *tables) returns, elementwise, T_h and T_2h over the even k, and per
+    node |F| and its pointwise bound.
     err adds |T_h - T_2h|, h sum bound, 20 eps h sum |F| for rounding and
     the tail charge.  h starts at `_first_step` of tol and u_max on the
     strip about the leftmost origin, Y at _START_HEIGHT; Y doubles while
@@ -308,12 +291,11 @@ def _trapezoid(origins, integrand, tol: float, budget: int, tol_of, u_max: float
                 count = f"{need:.6g}" if need < math.inf else "more than 1.8e+308"
                 seen = (f"no level ran, the first table needs {count} Airy nodes", h, y)
             raise _unmet("node budget exhausted", *seen, budget)
-        level = _level(h, y)
         tables = [_node_table(o, h, 2.0 * y) for o in origins]
         # a non-finite integrand raises below, without numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            v, v2, w, e = integrand(level, h, *tables)
-            pts, mag, tail = h * e.sum(), h * w.sum(), _tail(w + e, level, h)
+            v, v2, w, e = integrand(h, *tables)
+            pts, mag, tail = h * e.sum(), h * w.sum(), _tail(w + e, h, y)
             goal = tol_of(v, mag)
             disc = np.abs(v - v2)
             floor = pts + 20.0 * _EPS * mag
@@ -363,12 +345,14 @@ def _ai_product_integral(rows: tuple, t: complex, spec: ContourSpec):
     c = complex(spec.sigma)
     origins = (c,) if t == 0 else (c, c + t)
 
-    def integrand(level, h, tab, *shifted):
+    def integrand(h, tab, *shifted):
         inv0, rel0, r, rel_r = tab
+        m = inv0.size // 2
         inv1, rel1 = shifted[0][:2] if shifted else (inv0, rel0)
         f = e = None
         for b, row in terms:
-            p = row[0] if len(row) == 1 else np.polyval(row[::-1], c + 1j * h * level.k)
+            p = (row[0] if len(row) == 1
+                 else np.polyval(row[::-1], c + 1j * h * np.arange(-m, m + 1)))
             rel = rel0 + rel1
             if b:       # r = Ai'/Ai stays moderate where Ai' ** b would overflow
                 p = p * r ** b
@@ -376,7 +360,7 @@ def _ai_product_integral(rows: tuple, t: complex, spec: ContourSpec):
             val = p * inv0 * inv1
             err = np.abs(val) * rel
             f, e = (val, err) if f is None else (f + val, e + err)
-        return h * f.sum(), 2.0 * h * f[level.even].sum(), np.abs(f), e
+        return h * f.sum(), 2.0 * h * f[m % 2::2].sum(), np.abs(f), e
 
     val, err, nodes = _trapezoid(origins, integrand, spec.rel_tol, _LINE_NODES,
                                  lambda v, mag: spec.rel_tol * max(abs(v), 1e-6 * mag))
@@ -557,20 +541,20 @@ def density_grid(xs, gamma: float = CANONICAL_GAMMA,
         raise OverflowDomain(f"xs / length_scale(gamma) at gamma = {gamma!r} "
                              "overflows double precision")
 
-    def integrand(level, h, tab):
+    def integrand(h, tab):
         inv, rel = tab[:2]
+        m = inv.size // 2
         ghat = _SQRT2 * inv
         # node -k is the conjugate of node k (see `_node_table`), so the real
         # part of sum_k ghat_k e^{-i k h u} is sum_{k >= 0} A_k cos(k h u) +
         # B_k sin(k h u), A_k = 2 Re ghat_k and B_k = 2 Im ghat_k for k > 0
-        k = level.k
-        m = k[-1]
         a, b = 2.0 * ghat.real[m:], 2.0 * ghat.imag[m:]
         a[0], b[0] = ghat.real[m], 0.0
-        even = 2.0 * level.even[m:]
+        even = np.zeros(m + 1)      # T_2h weighs k >= 0 by 2, 0, 2, ...
+        even[::2] = 2.0
         wa = np.stack([a, even * a], axis=1) * (h / _TWO_PI)
         wb = np.stack([b, even * b], axis=1) * (h / _TWO_PI)
-        t = h * k[m:]
+        t = h * np.arange(m + 1)
         ca = np.empty((u.size, 2))
         sb = np.empty((u.size, 2))
         for i in range(0, u.size, _X_BLOCK):

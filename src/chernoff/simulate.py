@@ -68,6 +68,8 @@ class SimConfig:
         if self.step > self.horizon:
             raise ValueError("step must lie in (0, horizon]")
         ratio = self.horizon / self.step
+        if not math.isfinite(ratio):
+            raise ValueError(f"horizon/step must be finite, got {self.horizon!r}/{self.step!r}")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError("horizon must be an integer multiple of step")
         if self.steps_per_side < 2:
@@ -308,10 +310,10 @@ def load_sample_set(csv_path: Union[str, Path]) -> SampleSet:
     """The sample set that `save_sample_set` wrote to csv_path.
 
     Refuses with a ValueError that names the file: a header other than
-    v,m,w_at_argmax, no row after it, a row that is not three numbers, and
-    a sidecar that is not a JSON object with exactly SimConfig's fields and
-    a valid config.  The row count may differ from the config's num_paths,
-    since a prefix of a run's rows is a valid file.
+    v,m,w_at_argmax, no row after it, a row that is not three finite
+    numbers, and a sidecar that is not a JSON object with exactly
+    SimConfig's fields and a valid config.  The row count may differ from
+    the config's num_paths, since a prefix of a run's rows is a valid file.
     """
     header = ",".join(_COLUMNS)
     try:
@@ -325,6 +327,8 @@ def load_sample_set(csv_path: Union[str, Path]) -> SampleSet:
                               ndmin=2)
         if data.shape[1] != len(_COLUMNS):
             raise ValueError(f"rows hold {data.shape[1]} values, not {len(_COLUMNS)}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("a sample value is not finite")
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from exc
     sidecar = _sidecar(csv_path)

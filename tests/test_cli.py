@@ -373,10 +373,12 @@ def test_simulate_json(capsys, tmp_path):
 
 
 def test_simulate_bad_config(capsys, tmp_path):
-    code, _, err = run(capsys, "simulate", "--paths", "0",
-                       "--out", str(tmp_path / "x.csv"))
-    assert code == 2
-    assert "usage error" in err
+    # horizon/step overflows to inf, which no grid step count can hold
+    for argv in (("--paths", "0"), ("--horizon", "1e300", "--step", "1e-300", "--paths", "10")):
+        code, out, err = run(capsys, "simulate", *argv, "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith("usage error"), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("paths, target", [
@@ -394,9 +396,10 @@ def test_simulate_refuses_before_simulating(capsys, tmp_path, paths, target):
 
 
 def test_simulate_unallocatable_sample_set_is_usage_error(capsys, tmp_path, monkeypatch):
-    # numpy refuses 10^12 paths (7.3 TiB per column) with a MemoryError of
-    # its own, before any work; no test asks for the real allocation, so an
-    # array that large is refused here wherever it is asked for
+    # numpy refuses 10^12 paths (7.3 TiB per column), or a grid of 8 * 10^12
+    # points per path (58 TiB), with a MemoryError of its own, before any
+    # work; no test asks for the real allocation, so an array that large is
+    # refused here wherever it is asked for
     empty = np.empty
 
     def refuse(shape, *args, **kwargs):
@@ -405,12 +408,13 @@ def test_simulate_unallocatable_sample_set_is_usage_error(capsys, tmp_path, monk
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refuse)
-    code, out, err = run(capsys, "simulate", "--paths", "1000000000000",
-                         "--out", str(tmp_path / "x.csv"))
-    assert (code, out) == (2, "")
-    assert "simulating" not in err
-    assert err.splitlines() == ["usage error: a sample set of 1000000000000 paths "
-                                "cannot be allocated"]
+    for argv, what in [(("--paths", "1000000000000"), "a sample set of 1000000000000 paths"),
+                       (("--step", "1e-12", "--paths", "10"),
+                        "a grid of 8000000000001 points per path")]:
+        code, out, err = run(capsys, "simulate", *argv, "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, ""), argv
+        assert "simulating" not in err
+        assert err.splitlines() == [f"usage error: {what} cannot be allocated"]
     assert list(tmp_path.iterdir()) == []
 
 

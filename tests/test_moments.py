@@ -670,9 +670,52 @@ def test_node_budget_alone_bounds_the_height(monkeypatch):
     # a tail that never decays doubles Y until the next table would pass
     # the node budget
     moments._ai_product_integral.cache_clear()
-    monkeypatch.setattr(moments, "_tail", lambda w, level, h: 1e300)
+    monkeypatch.setattr(moments, "_tail", lambda w, h, y: 1e300)
     with pytest.raises(NoConvergence, match="node budget exhausted"):
         moment_quad(2, contour=ContourSpec(sigma=2.0, rel_tol=1e-3))
+
+
+def reachable_levels():
+    """Every level (h, Y) a line sum can reach: dyadic h <= 1/2 with
+    2Y/h <= 2^14, for Y = 12 * 2^j from _START_HEIGHT and Y = 2^j from a
+    start at 1 (see test_truncation_height_doubles_until_tail_is_negligible)."""
+    for start in (moments._START_HEIGHT, 1.0):
+        y = start
+        while 4.0 * y <= 2 ** 14:
+            h = 0.5
+            while 2.0 * y / h <= 2 ** 14:
+                yield h, y
+                h *= 0.5
+            y *= 2.0
+
+
+def test_level_slices_match_the_node_masks():
+    # the reference is the mask construction the slices replaced: T_2h sums
+    # the even k, and _tail the octave's halves Y < |k h| <= 1.5Y and
+    # |k h| > 1.5Y, each in node order
+    rng = np.random.default_rng(29)
+    levels = list(reachable_levels())
+    assert (2.0 ** -13, 1.0) in levels and (2.0 ** -7, 48.0) in levels
+    for h, y in levels:
+        m = math.floor(2.0 * y / h)
+        k = np.arange(-m, m + 1)
+        ay = np.abs(k) * h
+        even, inner, outer = k % 2 == 0, (ay > y) & (ay <= 1.5 * y), ay > 1.5 * y
+        i, o = math.floor(y / h), math.floor(1.5 * y / h)
+        at = np.arange(k.size)
+        assert np.array_equal(at[m % 2::2], np.flatnonzero(even)), (h, y)
+        assert np.array_equal(np.concatenate([at[m - o:m - i], at[m + i + 1:m + o + 1]]),
+                              np.flatnonzero(inner)), (h, y)
+        assert np.array_equal(np.concatenate([at[:m - o], at[m + o + 1:]]),
+                              np.flatnonzero(outer)), (h, y)
+        f = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+        assert f[m % 2::2].sum() == f[even].sum(), (h, y)
+        # flat magnitudes charge the whole octave, decaying ones its outer half
+        flat = rng.random(k.size)
+        for w in (flat, flat * np.exp(-4.0 * ay / y)):
+            masked_in, masked_out = h * w[inner].sum(), h * w[outer].sum()
+            want = masked_out if masked_out <= 0.5 * masked_in else masked_in + masked_out
+            assert moments._tail(w, h, y) == want, (h, y)
 
 
 # ---------------------------------------------------------------- contour plumbing

@@ -371,6 +371,7 @@ def test_csv_round_trip(tmp_path, small_set):
     ("v,m,w_at_argmax\n1,2,3\n", {"seed": None}, "exactly the keys"),
     ("v,m,w_at_argmax\n1,2,3\n", {"extra": 1}, "exactly the keys"),
     ("v,m,w_at_argmax\n1,2,3\n", {"step": 0.07}, "integer multiple of step"),
+    ("v,m,w_at_argmax\n1,2,3\nnan,inf,-inf\n", {}, "a sample value is not finite"),
 ])
 def test_load_refuses_malformed_files(tmp_path, csv, sidecar, says):
     path = tmp_path / "s.csv"
@@ -448,6 +449,7 @@ def test_no_boundary_warning_at_default_horizon(recwarn):
         {"step": True},
         {"horizon": 4.0, "step": 0.3},  # grid would end at 3.9
         {"horizon": 1.0, "step": 1.0},  # only one step per side
+        {"horizon": 1e300, "step": 1e-300},  # horizon/step overflows to inf
     ],
 )
 def test_config_validation(kw):
