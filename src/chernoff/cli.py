@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import algebra, moments
-from .simulate import SimConfig, _sidecar, estimate, save_sample_set
+from .simulate import SimConfig, _sidecar, _workers, estimate, save_sample_set
 from .simulate import simulate as run_paths
 from .errors import AccuracyUnreachable, NoConvergence, OverflowDomain, _as_order
 
@@ -184,12 +184,12 @@ def cmd_simulate(args) -> str:
     _check_out(args.samples, _sidecar(args.samples))
     cols = 2 * cfg.steps_per_side + 1
     for shape, what in (((3, cfg.num_paths), f"a sample set of {cfg.num_paths} paths"),
-                        (cols, f"a grid of {cols} points per path")):
+                        ((2 + 2 * _workers(), cols), f"a grid of {cols} points per path")):
         try:
-            # the sample set's three columns, then one row of the grid;
-            # np.empty touches no page, so this refuses, before any work,
-            # what cannot be allocated (numpy raises ValueError past its
-            # largest array)
+            # the sample set's three columns, then the sampler's rows of the
+            # grid: t, the drift and each worker's two; np.empty touches no
+            # page, so this refuses, before any work, what cannot be
+            # allocated (numpy raises ValueError past its largest array)
             np.empty(shape)
         except (MemoryError, ValueError):
             raise _UsageError(f"{what} cannot be allocated")
@@ -288,6 +288,10 @@ def main(argv=None) -> int:
         return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:     # past what the pre-checks refuse
+        print(f"usage error: the arrays that {args.command} needs cannot be allocated",
+              file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:       # ContourTooLeft, NotIntegrable, UnknownStatistic too
         print(f"invalid arguments: {exc}", file=sys.stderr)

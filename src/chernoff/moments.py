@@ -11,12 +11,12 @@ integrands read: 1/Ai, the relative bound bnd/|Ai|, r = Ai'/Ai and
 bnd/|Ai'|, formed once when the node is evaluated, and all 0 where Ai
 overflows.  A table at the nodes z = c + i k h, |k h| <= 2Y, is gathered
 from its line's store, reading nodes below the real axis as conjugates,
-and only ordinates the store lacks are evaluated; a table on the real
-axis is kept by its line, and one cap bounds the store (see
-`_node_table`).  All moments, E M, the identity suite, the density and
-the cf read the sigma = 0 line, and the mgf adds the line through
-sigma + t.  The cf is the mgf at i t on the caller's contour, so
-its shifted factor Ai(z + i t) lies on that same line.  On a strip of
+and only ordinates the store lacks are evaluated; a line keeps its widest
+real-axis table per step, and every table on that step's grid is a slice
+of it, under one cap (see `_node_table`).  All moments, E M, the identity
+suite, the density and the cf read the sigma = 0 line, and the mgf adds
+the line through sigma + t.  The cf is the mgf at i t on the caller's contour,
+so its shifted factor Ai(z + i t) lies on that same line.  On a strip of
 half-width a the error of T_h falls like e^{-2 pi a/h}.  The check at h
 compares T_h with T_2h, so it can pass only once T_2h meets the
 tolerance: the line sum starts h at the coarsest power of two for which
@@ -124,7 +124,7 @@ class _Line(NamedTuple):
     """What every integrand reads at z = x + i y on one line Re z = x, for
     the sorted ordinates y >= 0 evaluated there so far: 1/Ai, the relative
     bound bnd/|Ai|, r = Ai'/Ai and bnd/|Ai'|, all four 0 where Ai overflowed;
-    and the real-axis tables gathered from them, by (h, m) (see `_node_table`)."""
+    and, by step h, the widest real-axis table read at it (see `_node_table`)."""
 
     y: np.ndarray
     inv: np.ndarray
@@ -162,60 +162,60 @@ def _node_table(origin: complex, h: float, half_width: float):
     every integrand (each divides by Ai) vanishes there exactly; where Ai
     underflows 1/Ai is not finite, so `_trapezoid` raises.
 
-    A table on the real axis is a function of (x, h, m), m = floor(half_width
-    / h), alone, so its line keeps it once gathered, where it fits under
-    _TABLE_NODES, and a repeat read returns the same arrays.  Kept tables
-    yield first: an insert that would take all lines past the cap drops
-    every kept table, and if the ordinates alone would still pass it, every
-    other line, leaving this one only this table's ordinates: the cap or
-    one table.
+    A line also keeps, per step h, the widest real-axis table gathered at
+    that step.  A table on the step's grid (h a power of two, Im origin =
+    j h, |j| <= m = floor(half_width / h)) is a slice of it, widened first
+    to m + |j| steps where it is narrower: its nodes (j + k) h are exactly
+    origin.imag + k h.  So is every real-axis table, and the cf's shifted
+    factor at a t on the grid; any other table is gathered and not kept.
+    One cap rule: a gather whose new ordinates would take all lines past
+    _TABLE_NODES drops every other line and kept table, and leaves this line
+    only this table's ordinates; a table is kept only where it fits.
     """
     x = origin.real + 0.0           # one key for the line through -0.0 and 0.0
     m = math.floor(half_width / h)
-    key = (h, m) if origin.imag == 0.0 else None
+    j = origin.imag / h
+    grid = j.is_integer() and abs(j) <= m and math.frexp(h)[0] == 0.5
+    j = int(j) if grid else 0
+    w = m + abs(j)
     with _LINES_LOCK:
         line = _LINES.get(x, _EMPTY)
-        tab = line.kept.get(key)
-        if tab is not None:
-            return tab
-        y = origin.imag + h * np.arange(-m, m + 1)
-        ay = np.abs(y)
-        pos = np.searchsorted(line.y, ay)
-        hit = line.y.take(pos, mode="clip") == ay if line.y.size else np.zeros(ay.size, bool)
-        new = ay[~hit]
-        if new.size:
-            new = np.sort(new)
+        tab = line.kept.get(h) if grid else None
+        if tab is None or tab[0].size <= 2 * w:
+            y = (0.0 if grid else origin.imag) + h * np.arange(-w, w + 1)
+            ay = np.abs(y)
+            pos = np.searchsorted(line.y, ay)
+            hit = line.y.take(pos, mode="clip") == ay if line.y.size else np.zeros(ay.size, bool)
             # not np.unique: its first call imports numpy.ma, about 20 ms
+            new = np.sort(ay[~hit])
             new = new[np.diff(new, prepend=-1.0) > 0.0]
-            # a contour pass holds a handful of lines, so the sums are cheap
+            # a contour pass holds a handful of lines, so the sum is cheap
             if sum(map(_held, _LINES.values())) + new.size > _TABLE_NODES:
-                for lx in list(_LINES):
-                    _LINES[lx] = _LINES[lx]._replace(kept={})
-                line = line._replace(kept={})
-            if sum(ln.y.size for ln in _LINES.values()) + new.size > _TABLE_NODES:
                 _LINES.clear()
                 keep = np.zeros(line.y.size, bool)
                 keep[pos[hit]] = True
                 line = _Line(*(a[keep] for a in line[:5]), {})
-            ai, aip, bnd = _ai_kernel(x + 1j * new)
-            finite = np.isfinite(ai)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                inv = np.where(finite, 1.0 / ai, 0.0)
-                vals = (new, inv, np.where(finite, bnd / np.abs(ai), 0.0), aip * inv,
-                        bnd / np.maximum(np.abs(aip), 1e-300))
-            at = np.searchsorted(line.y, new)
-            line = _Line(*(np.insert(old, at, val) for old, val in zip(line[:5], vals)), line.kept)
+            if new.size:
+                ai, aip, bnd = _ai_kernel(x + 1j * new)
+                finite = np.isfinite(ai)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    inv = np.where(finite, 1.0 / ai, 0.0)
+                    vals = (new, inv, np.where(finite, bnd / np.abs(ai), 0.0), aip * inv,
+                            bnd / np.maximum(np.abs(aip), 1e-300))
+                at = np.searchsorted(line.y, new)
+                line = _Line(*(np.insert(old, at, v) for old, v in zip(line[:5], vals)), line.kept)
             pos = np.searchsorted(line.y, ay)
+            tab = tuple(a[pos] for a in line[1:5])
+            low = np.signbit(y)
+            np.conjugate(tab[0], out=tab[0], where=low)
+            np.conjugate(tab[2], out=tab[2], where=low)
+            for a in tab:
+                a.flags.writeable = False
             _LINES[x] = line
-        tab = tuple(a[pos] for a in line[1:5])
-        low = np.signbit(y)
-        np.conjugate(tab[0], out=tab[0], where=low)
-        np.conjugate(tab[2], out=tab[2], where=low)
-        for a in tab:
-            a.flags.writeable = False
-        if key is not None and sum(map(_held, _LINES.values())) + y.size <= _TABLE_NODES:
-            _LINES[x] = line._replace(kept={**line.kept, key: tab})
-    return tab
+            if grid and sum(map(_held, _LINES.values())) + y.size <= _TABLE_NODES:
+                _LINES[x] = line._replace(kept={**line.kept, h: tab})
+    lo = tab[0].size // 2 + j - m
+    return tuple(a[lo:lo + 2 * m + 1] for a in tab)
 
 
 def _first_step(a: float, tol: float, u_max: float = 0.0) -> float:

@@ -68,8 +68,10 @@ class SimConfig:
         if self.step > self.horizon:
             raise ValueError("step must lie in (0, horizon]")
         ratio = self.horizon / self.step
-        if not math.isfinite(ratio):
-            raise ValueError(f"horizon/step must be finite, got {self.horizon!r}/{self.step!r}")
+        # past 2^53 every double is an integer, so the multiple check is void
+        if not ratio <= 2.0**53:
+            raise ValueError(f"horizon/step must be at most 2^53, got "
+                             f"{self.horizon!r}/{self.step!r}")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError("horizon must be an integer multiple of step")
         if self.steps_per_side < 2:
@@ -111,7 +113,8 @@ def _workers() -> int:
 
 class _Plan:
     """What every block of one call shares: t and the drift in tie-break
-    column order, each stride's columns, and the output arrays."""
+    column order, the columns of each stride k > 1 (stride 1 reads them
+    all), and the output arrays."""
 
     def __init__(self, cfg: SimConfig, strides: tuple[int, ...]):
         n = cfg.steps_per_side
@@ -123,7 +126,7 @@ class _Plan:
         self.t = cfg.step * i
         self.drift = cfg.gamma * self.t * self.t
         # stride k reads the grid points with i % k == 0, in the same order
-        self.grids = [(k, np.flatnonzero(i % k == 0)) for k in strides]
+        self.grids = [(k, np.flatnonzero(i % k == 0) if k > 1 else None) for k in strides]
         self.out = [tuple(np.empty(cfg.num_paths) for _ in range(3)) for _ in strides]
 
 

@@ -1,12 +1,15 @@
 """Print a sha256 of every quadrature request stream in a fixed list, and one overall.
 
 The streams are the benchmark's seeded passes from perfbench/workloads.py:
-`contour_pass` seeds 1-10, then `tails_pass` seeds 1-3, all sent in that
-order to one process, so each later pass reads the node store and the
-caches that the earlier ones left, as a long session does.  A stream's
-digest covers, per request, its kind and arguments, then the bytes of the
-value (real and imaginary part), err_estimate and panels_used of a
-QuadResult, of a density value or of a density table, or the type and
+`contour_pass` seeds 1-10, then `tails_pass` seeds 1-3; then this file's
+`off_grid_pass(1)`, 40 cf at t drawn from (0, 6) and 10 mgf at -1 + i u,
+u drawn from (0, 6), whose shifted tables lie off every step's grid, so
+the node store gathers them and keeps none.  All are sent in that order to one process,
+so each later pass reads the node store and the caches that the earlier
+ones left, as a long session does.  A stream's digest covers, per
+request, its kind and arguments, then the bytes of the value (real and
+imaginary part), err_estimate and panels_used of a QuadResult, of a
+density value or of a density table, or the type and
 message of a ChernoffError.  Two checkouts whose quadratures agree bit for
 bit print the same overall digest on one machine; numeric bits depend on
 the numpy build, so digests from different machines may differ.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import struct
 import sys
 from pathlib import Path
@@ -33,8 +37,18 @@ import numpy as np  # noqa: E402
 import chernoff  # noqa: E402
 from perfbench.workloads import contour_pass, tails_pass  # noqa: E402
 
+
+def off_grid_pass(seed: int) -> list:
+    """40 cf at t drawn from (0, 6), then 10 mgf at -1 + i u, u drawn from (0, 6)."""
+    rng = random.Random(f"off_grid:{seed}")
+    return ([{"kind": "char_fn_quad", "args": {"t": rng.uniform(0.0, 6.0)}} for _ in range(40)]
+            + [{"kind": "mgf_quad", "args": {"t": -1.0, "t_im": rng.uniform(0.0, 6.0)}}
+               for _ in range(10)])
+
+
 STREAMS = ([(f"contour_pass({seed})", contour_pass(seed)) for seed in range(1, 11)]
-           + [(f"tails_pass({seed})", tails_pass(seed)) for seed in range(1, 4)])
+           + [(f"tails_pass({seed})", tails_pass(seed)) for seed in range(1, 4)]
+           + [("off_grid_pass(1)", off_grid_pass(1))])
 
 
 def _contour(a):
@@ -51,7 +65,7 @@ CALLS = {
     "moment_quad": lambda a: chernoff.moment_quad(a["n"], a["gamma"], _contour(a)),
     "mean_max_quad": lambda a: chernoff.mean_max_quad(a["gamma"]),
     "char_fn_quad": lambda a: chernoff.char_fn_quad(a["t"], _contour(a)),
-    "mgf_quad": lambda a: chernoff.mgf_quad(a["t"]),
+    "mgf_quad": lambda a: chernoff.mgf_quad(complex(a["t"], a.get("t_im", 0.0))),
     "density": lambda a: chernoff.density(a["x"]),
     "density_grid": _grid,
 }

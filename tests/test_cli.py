@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output formats, schemas, exit codes, determinism."""
 
+import importlib
 import json
 import re
 from fractions import Fraction
@@ -373,11 +374,32 @@ def test_simulate_json(capsys, tmp_path):
 
 
 def test_simulate_bad_config(capsys, tmp_path):
-    # horizon/step overflows to inf, which no grid step count can hold
-    for argv in (("--paths", "0"), ("--horizon", "1e300", "--step", "1e-300", "--paths", "10")):
+    # horizon/step overflows to inf, which no grid step count can hold, or
+    # passes 2^53, where every double is an integer multiple
+    for argv in (("--paths", "0"), ("--horizon", "1e300", "--step", "1e-300", "--paths", "10"),
+                 ("--horizon", "1e300", "--step", "1e-5", "--paths", "10")):
         code, out, err = run(capsys, "simulate", *argv, "--out", str(tmp_path / "x.csv"))
         assert (code, out) == (2, ""), argv
         assert err.count("\n") == 1 and err.startswith("usage error"), argv
+        assert len(err) < 100, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("module, name", [("chernoff.cli", "run_paths"),
+                                          ("chernoff.simulate", "_Plan")])
+def test_simulate_memory_error_is_usage_error(capsys, tmp_path, monkeypatch, module, name):
+    # a MemoryError past the pre-checks, such as numpy's in the sampler's
+    # plan under a low ulimit -v, ends in one usage line and no traceback
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 286. MiB")
+
+    monkeypatch.setattr(importlib.import_module(module), name, refuse)
+    code, out, err = run(capsys, "simulate", "--paths", "10", "--step", "0.01",
+                         "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if not line.startswith("simulating")] == [
+        "usage error: the arrays that simulate needs cannot be allocated"]
     assert list(tmp_path.iterdir()) == []
 
 

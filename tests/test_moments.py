@@ -14,6 +14,7 @@ are checked on TAIL_CONTOUR instead.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import re
@@ -540,8 +541,8 @@ def test_far_mgf_fails_typed_without_warnings(t):
             mgf_quad(t)
 
 
-REFERENCES = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
 
 
 def _draw_contour(rng) -> ContourSpec:
@@ -1013,35 +1014,109 @@ def test_table_bits_equal_direct_kernel(monkeypatch, origin, h, half_width):
 
 @pytest.mark.parametrize("origin, h, half_width", [o for o in TABLES if o[0].imag == 0.0])
 def test_kept_tables_are_exact_and_read_only(monkeypatch, origin, h, half_width):
-    # a real-axis table is kept by its line once gathered: a repeat read
-    # returns the same arrays, with the bits of a direct evaluation
+    # a real-axis table is a slice of its line's kept table at step h: a
+    # repeat read shares that memory, with the bits of a direct evaluation
     _empty_store(monkeypatch)
     _fill_store(origin, h)
     direct = _bits(*_direct_table(origin, h, half_width)[0])
     first = moments._node_table(origin, h, half_width)
     second = moments._node_table(origin, h, half_width)
     assert _bits(*first) == direct and _bits(*second) == direct
-    assert all(a is b for a, b in zip(first, second))
+    kept = moments._LINES[origin.real].kept[h]
+    for a, b, k in zip(first, second, kept):
+        assert np.shares_memory(a, b) and np.shares_memory(a, k)
     for a in second:
         with pytest.raises(ValueError):
             a[0] = a[0]
 
 
-def test_kept_tables_yield_before_lines(monkeypatch):
-    # an insert that would pass the cap drops the kept tables first, and
-    # evicts no line while the ordinates alone fit; a table is kept only
-    # where it fits, and one that is not is gathered again from the store
+def test_one_kept_table_per_step(monkeypatch):
+    # every table on a step's grid within its own reach of the axis is a
+    # slice of the line's one table at that step, widened where it is too
+    # narrow; a table off the grid (Im origin = 1/3 at h = 1/4, or h = 0.3,
+    # not a power of two) or shifted past its reach (30 > 24) is not kept
+    _empty_store(monkeypatch)
+    # (origin, h, half_width), whether it is on the grid, and the size of
+    # the kept step-1/4 table after it
+    reads = [((0j, 0.25, 12.0), True, 97), ((0j, 0.25, 24.0), True, 193),
+             ((2.5j, 0.25, 24.0), True, 213), ((-1j, 0.25, 6.0), True, 213),
+             ((0j, 0.125, 24.0), True, 213), ((1j / 3.0, 0.25, 24.0), False, 213),
+             ((30j, 0.25, 6.0), False, 213), ((0.6j, 0.3, 3.0), False, 213)]
+    for (origin, h, half_width), on_grid, size in reads:
+        tab = moments._node_table(origin, h, half_width)
+        assert _bits(*tab) == _bits(*_direct_table(origin, h, half_width)[0])
+        kept = moments._LINES[0.0].kept
+        shared = h in kept and all(np.shares_memory(a, k) for a, k in zip(tab, kept[h]))
+        assert shared == on_grid and kept[0.25][0].size == size, origin
+    assert sorted(kept) == [0.125, 0.25]
+
+
+def test_on_grid_cf_is_a_slice_of_the_kept_axis_table(monkeypatch):
+    # once the sigma = 0 line keeps a step-1/4 table reaching |y| <= 32, a
+    # cf at a quarter-integer t up to 8 is read from it alone: no Airy
+    # point is evaluated, and both factors share the kept table's memory
+    _empty_store(monkeypatch)
+    moments._node_table(0j, 0.25, 32.0)
+    calls = _count_airy_points(monkeypatch)
+    gather = moments._node_table
+    tables = []
+
+    def recorded(origin, h, half_width):
+        tables.append((h, gather(origin, h, half_width)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(moments, "_node_table", recorded)
+    for t in (0.25, 1.75, 2.5, 7.0):
+        tables.clear()
+        assert char_fn_quad(t).value == pytest.approx(float(REFERENCES["cf"][repr(t)]),
+                                                      abs=1e-9)
+        kept = moments._LINES[0.0].kept
+        assert [h for h, _ in tables] == [0.25, 0.25] and list(kept) == [0.25]
+        for _, tab in tables:
+            assert all(np.shares_memory(a, k) for a, k in zip(tab, kept[0.25]))
+    assert calls == []
+
+
+def _load_quad_golden(monkeypatch):
+    """tests/quad_golden.py as a module, with its request streams and its
+    `answer`; the sys.path entries it adds are undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("quad_golden", ROOT / "tests" / "quad_golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return golden
+
+
+def test_contour_pass_work_from_an_empty_store(monkeypatch):
+    # the store's work on the benchmark's first contour pass: every Airy
+    # point it evaluates, and the kernel calls they take
+    golden = _load_quad_golden(monkeypatch)
+    _empty_store(monkeypatch)
+    calls = _count_airy_points(monkeypatch)
+    for req in golden.contour_pass(1):
+        golden.answer(req)
+    assert (sum(z.size for z in calls), len(calls)) == (2930, 23)
+
+
+def test_one_cap_rule_for_lines_and_kept_tables(monkeypatch):
+    # a gather whose new ordinates would take the store past the cap drops
+    # every other line and every kept table, and leaves the line being read
+    # only this table's ordinates; a table is kept only where it fits
     _empty_store(monkeypatch, cap=400)
     calls = _count_airy_points(monkeypatch)
     moments._node_table(0j, 0.25, 24.0)             # 97 ordinates, a 193-node table
-    assert list(moments._LINES[0.0].kept) == [(0.25, 96)]
-    moments._node_table(0.75 + 0j, 0.125, 24.0)     # 193 new ordinates
-    assert sorted(moments._LINES) == [0.0, 0.75]
-    assert all(not line.kept for line in moments._LINES.values())
+    assert list(moments._LINES[0.0].kept) == [0.25] and _held() == 290
+    moments._node_table(0.75 + 0j, 0.125, 24.0)     # 193 new ordinates: 483 > 400
+    assert list(moments._LINES) == [0.75] and not moments._LINES[0.75].kept
+    assert _held() == 193                           # its 385-node table does not fit
     calls.clear()
-    tab = moments._node_table(0j, 0.25, 24.0)
-    assert calls == [] and not moments._LINES[0.0].kept
+    tab = moments._node_table(0j, 0.25, 24.0)       # 290 ordinates, and no table fits
+    assert [z.size for z in calls] == [97]
+    assert sorted(moments._LINES) == [0.0, 0.75] and _held() == 290
     assert _bits(*tab) == _bits(*_direct_table(0j, 0.25, 24.0)[0])
+    moments._node_table(0.75 + 0j, 0.5, 96.0)       # 144 new ordinates: 434 > 400
+    assert list(moments._LINES) == [0.75] and not moments._LINES[0.75].kept
+    assert np.array_equal(moments._LINES[0.75].y, 0.5 * np.arange(193))
 
 
 @pytest.mark.parametrize("origin, h, half_width", [
@@ -1107,7 +1182,7 @@ def test_node_tables_shared_between_threads(monkeypatch):
 
 def test_kept_tables_shared_between_threads(monkeypatch):
     # threads reading the same real-axis tables get the bits of a direct
-    # evaluation, and each line keeps each table once
+    # evaluation, and each line keeps one table per step
     tables = [(x + 0j, h, 24.0) for x in (0.0, 0.5, -1.3) for h in (0.5, 0.25, 0.125)]
     want = [_bits(*_direct_table(*t)[0]) for t in tables]
     _empty_store(monkeypatch)
@@ -1122,7 +1197,7 @@ def test_kept_tables_shared_between_threads(monkeypatch):
     assert got == want * 4
     assert sorted(moments._LINES) == [-1.3, 0.0, 0.5]
     for line in moments._LINES.values():
-        assert sorted(line.kept) == [(0.125, 192), (0.25, 96), (0.5, 48)]
+        assert sorted(line.kept) == [0.125, 0.25, 0.5]
     assert _held() <= moments._TABLE_NODES
 
 

@@ -200,6 +200,7 @@ def block_picks(y):
     w = y + t * t
     cfg = SimConfig(gamma=1.0, horizon=float(n), step=1.0, num_paths=y.shape[0])
     plan = sim_module._Plan(cfg, (1, 2))
+    assert plan.grids[0] == (1, None)     # stride 1 reads every column
     ws = sim_module._Workspace(plan)
     ws.gen = _Rows(np.concatenate([np.diff(w[:, n:]), np.diff(w[:, n::-1])], axis=1),
                    ws.key)
@@ -450,6 +451,7 @@ def test_no_boundary_warning_at_default_horizon(recwarn):
         {"horizon": 4.0, "step": 0.3},  # grid would end at 3.9
         {"horizon": 1.0, "step": 1.0},  # only one step per side
         {"horizon": 1e300, "step": 1e-300},  # horizon/step overflows to inf
+        {"horizon": 1e300, "step": 1e-5},  # past 2^53 every ratio is an integer
     ],
 )
 def test_config_validation(kw):
